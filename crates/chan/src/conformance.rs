@@ -25,7 +25,7 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -989,6 +989,81 @@ pub fn check_pipelined_calls(factory: TransportFactory<'_>) {
     });
 }
 
+/// Submission: [`Transport::submit_send`]/[`Transport::submit_select`]
+/// complete through their callbacks exactly as the blocking calls
+/// return. Sends submitted back to back on one edge are delivered, and
+/// complete, in submission order, each only once picked up; a submitted
+/// selection fires receive and send arms; a submitted send past its
+/// deadline reclaims its deposit.
+pub fn check_submitted_ops(factory: TransportFactory<'_>) {
+    const N: u64 = 64;
+    let t = factory(37);
+    let net = net_of(Arc::clone(&t));
+    net.activate(s("a"));
+    net.activate(s("b"));
+    let (a, b) = (net.port(s("a")).unwrap(), net.port(s("b")).unwrap());
+    let (tx, rx) = mpsc::channel();
+    for v in 0..N {
+        let tx = tx.clone();
+        let done = Box::new(move |r: Result<(), ChanError<String>>| tx.send((v, r)).unwrap());
+        Arc::clone(&t).submit_send(&s("a"), &s("b"), v, far(), done);
+    }
+    let mut completed = Vec::new();
+    for v in 0..N {
+        completed.extend(rx.try_iter());
+        assert!(
+            completed.iter().all(|(w, _)| *w < v),
+            "a submitted send completed before its pickup"
+        );
+        assert_eq!(
+            b.recv_from_deadline(&s("a"), far()),
+            Ok(v),
+            "submitted sends must stay FIFO"
+        );
+    }
+    while completed.len() < N as usize {
+        completed.push(rx.recv_timeout(Duration::from_secs(10)).unwrap());
+    }
+    let want: Vec<(u64, Result<(), ChanError<String>>)> = (0..N).map(|v| (v, Ok(()))).collect();
+    assert_eq!(completed, want, "submitted sends must complete in order");
+
+    let (tx, rx) = mpsc::channel();
+    let done = {
+        let tx = tx.clone();
+        Box::new(move |r| tx.send(r).unwrap())
+    };
+    Arc::clone(&t).submit_select(&s("b"), vec![Arm::recv_from(s("a"))], far(), done);
+    a.send_deadline(&s("b"), 7, far()).unwrap();
+    let fired = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+    assert!(
+        matches!(fired, Ok(Outcome::Received { msg: 7, .. })),
+        "{fired:?}"
+    );
+    let done = Box::new(move |r| tx.send(r).unwrap());
+    Arc::clone(&t).submit_select(&s("a"), vec![Arm::send(s("b"), 8)], far(), done);
+    assert_eq!(b.recv_from_deadline(&s("a"), far()), Ok(8));
+    let fired = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+    assert!(matches!(fired, Ok(Outcome::Sent { .. })), "{fired:?}");
+
+    let (tx, rx) = mpsc::channel();
+    Arc::clone(&t).submit_send(
+        &s("a"),
+        &s("b"),
+        9,
+        soon(),
+        Box::new(move |r| tx.send(r).unwrap()),
+    );
+    assert_eq!(
+        rx.recv_timeout(Duration::from_secs(10)).unwrap(),
+        Err(ChanError::Timeout)
+    );
+    assert!(
+        !net.has_pending_from(&s("b"), &s("a")),
+        "a timed-out submitted send must reclaim its deposit"
+    );
+    assert_eq!(b.try_recv_from(&s("a")), Ok(None));
+}
+
 /// The reference message labeler of the monitored-protocol schedule:
 /// even payloads are `ping`s, odd payloads are `pong`s.
 ///
@@ -1177,6 +1252,7 @@ pub fn run_all(factory: TransportFactory<'_>) {
     check_lease_expiry(factory);
     check_sever_stream_parity(factory, factory);
     check_pipelined_calls(factory);
+    check_submitted_ops(factory);
     check_protocol_monitoring(factory);
     check_open_family_churn(factory, factory);
 }

@@ -34,6 +34,7 @@
 //! corresponding hot path is gated by a single relaxed boolean load,
 //! checked once per operation instead of consulting the plan per hop.
 
+use std::borrow::Borrow;
 use std::cmp::Reverse;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -187,7 +188,10 @@ pub struct LatencySample {
 /// * **Rendezvous.** [`Transport::send`] completes only when the
 ///   receiver has picked the message up (or fails); at most one message
 ///   per directed edge is in flight, so messages from one sender arrive
-///   in send order (per-edge FIFO).
+///   in send order (per-edge FIFO). This holds for pipelined
+///   [`Transport::submit_send`]s too: sends submitted on one edge are
+///   delivered in submission order, and one that fails is never
+///   delivered.
 /// * **Lifecycle.** Peers move `Expected → Active → Done`;
 ///   [`Transport::declare`] never downgrades a state. Operations naming
 ///   an `Expected` peer block (the role may yet enroll); operations
@@ -311,10 +315,8 @@ pub trait Transport<I, M>: Send + Sync {
     /// result the blocking [`Transport::send`] would have produced, and
     /// the calling thread never blocks on the rendezvous. An
     /// event-driven hub multiplexes thousands of in-flight sends onto
-    /// one scheduler this way. Backends without a native nonblocking
-    /// core hand the message and callback straight back (the default),
-    /// telling the caller to fall back to a thread driving the blocking
-    /// path.
+    /// one scheduler this way. Sends submitted on one edge keep the
+    /// per-edge FIFO order of their submission.
     fn submit_send(
         self: Arc<Self>,
         from: &I,
@@ -322,26 +324,17 @@ pub trait Transport<I, M>: Send + Sync {
         msg: M,
         deadline: Option<Instant>,
         done: SendDone<I>,
-    ) -> Result<(), (M, SendDone<I>)> {
-        let _ = (from, to, deadline);
-        Err((msg, done))
-    }
+    );
     /// Submits a selection for *asynchronous* completion, with the same
     /// contract as [`Transport::submit_send`]: `done` fires exactly
-    /// once with the blocking [`Transport::select`]'s result, and the
-    /// unsupported default hands the arms and callback back to the
-    /// caller.
-    #[allow(clippy::type_complexity)]
+    /// once with the blocking [`Transport::select`]'s result.
     fn submit_select(
         self: Arc<Self>,
         me: &I,
         arms: Vec<Arm<I, M>>,
         deadline: Option<Instant>,
         done: SelectDone<I, M>,
-    ) -> Result<(), (Vec<Arm<I, M>>, SelectDone<I, M>)> {
-        let _ = (me, deadline);
-        Err((arms, done))
-    }
+    );
 }
 
 const LIFE_EXPECTED: u8 = 0;
@@ -383,8 +376,8 @@ struct Endpoint<I, M> {
 struct EpState<I, M> {
     /// Messages to me, keyed by sender: at most one in flight per edge.
     inbox: HashMap<I, M>,
-    /// Pickup counts per sender, awaited by the sender's phase 2.
-    acks: HashMap<I, u64>,
+    /// My side of each edge into me, keyed by sender.
+    edges: HashMap<I, Edge>,
     /// My published receive offers, claimable by send arms.
     wait: Option<WaitEntry<I>>,
     /// Eventcount: bumped under this lock on every change a sleeper on
@@ -412,9 +405,9 @@ struct EpState<I, M> {
 impl<I, M> EpState<I, M> {
     /// Bumps the eventcount and hands every parked asynchronous
     /// operation to its scheduler. Every mutation a sleeper on the
-    /// endpoint's condvar could care about must go through here, so the
-    /// poll-based state machines observe exactly the wakeups the
-    /// blocking loops do. Lock order is endpoint → scheduler queue; the
+    /// endpoint's condvar could care about must go through here, so
+    /// submitted operations observe exactly the wakeups blocking ones
+    /// do. Lock order is endpoint → scheduler queue; the
     /// scheduler never takes an endpoint lock while holding its queue.
     fn bump_signal(&mut self) {
         self.signal += 1;
@@ -426,10 +419,54 @@ impl<I, M> EpState<I, M> {
     }
 }
 
+impl<I: Clone + Eq + Hash, M> EpState<I, M> {
+    /// My side of the edge from `from`, created on first use (the only
+    /// time its key is cloned).
+    fn edge(&mut self, from: &I) -> &mut Edge {
+        if !self.edges.contains_key(from) {
+            self.edges.insert(from.clone(), Edge::default());
+        }
+        self.edges.get_mut(from).expect("inserted above")
+    }
+}
+
+/// A receiver's side of one edge: its pickup count, and the queue of
+/// the sender's send ops in the order of their first poll. Only the
+/// queue's head may deposit, which makes per-edge FIFO hold for
+/// pipelined sends by construction.
+#[derive(Default)]
+struct Edge {
+    /// Pickups so far, awaited by the sender's phase 2.
+    acks: u64,
+    /// Tickets handed out so far.
+    issued: u64,
+    /// The queued ops' tickets, head first.
+    queue: VecDeque<u64>,
+}
+
 /// Chaos configuration, shared read-only once attached.
 struct FaultConfig<M> {
     plan: FaultPlan,
     clone_fn: fn(&M) -> M,
+}
+
+/// What the chaos gate decided for one message.
+struct EdgeFaults<M> {
+    /// The edge's sequence number the decisions were made for.
+    seq: u64,
+    /// `Partition` or `Sever`: decided and recorded at the sending edge
+    /// like every other class — which keeps fault logs identical across
+    /// transports — but enacted only by a connection-oriented hub
+    /// observing the record. In-process it is a no-op.
+    conn: Option<FaultKind>,
+    /// Hold the message back this long before it may deposit.
+    delay: Option<Duration>,
+    /// Lose the message on the wire after transmission: the sender
+    /// observes success (unless the peer is already gone); the receiver
+    /// never sees it.
+    drop: bool,
+    /// Materializes a duplicate, redelivered best-effort after pickup.
+    dup: Option<fn(&M) -> M>,
 }
 
 /// Cold-path fault state: hot paths read only the two booleans.
@@ -627,7 +664,7 @@ where
             life: AtomicU8::new(life),
             state: Mutex::new(EpState {
                 inbox: HashMap::new(),
-                acks: HashMap::new(),
+                edges: HashMap::new(),
                 wait: None,
                 signal: 0,
                 watchers: Vec::new(),
@@ -695,19 +732,16 @@ where
     /// any blocked operation anywhere may be waiting on.
     fn broadcast(&self) {
         let eps: Vec<Arc<Endpoint<I, M>>> = self.registry().values().cloned().collect();
+        Self::wake(eps);
+    }
+
+    /// Bumps each endpoint's eventcount and wakes its sleepers. Call
+    /// *without* holding any endpoint lock — e.g. on a snapshot of an
+    /// endpoint's send watchers taken under its lock.
+    fn wake(eps: impl IntoIterator<Item = Arc<Endpoint<I, M>>>) {
         for ep in eps {
             ep.state.lock().bump_signal();
             ep.cond.notify_all();
-        }
-    }
-
-    /// Wakes the selectors registered as send watchers on `ep`. Call
-    /// *without* holding any endpoint lock; the snapshot was taken under
-    /// `ep`'s lock.
-    fn wake_watchers(watchers: Vec<(u64, Arc<Endpoint<I, M>>)>) {
-        for (_, w) in watchers {
-            w.state.lock().bump_signal();
-            w.cond.notify_all();
         }
     }
 
@@ -754,13 +788,64 @@ where
         Ok(())
     }
 
-    /// Advances the per-edge counter for `from → to` under `to`'s lock.
-    fn chaos_edge_seq(&self, from: &I, to_ep: &Arc<Endpoint<I, M>>) -> u64 {
-        let mut st = to_ep.state.lock();
+    /// The chaos gate for one message `from → to`, under the receiver's
+    /// lock `st`: advances the edge's sequence counter and decides every
+    /// per-message fault class. This is the only place those decisions
+    /// are made, for sends and send arms alike; a send arm is gated by
+    /// drop alone. `None` when the attached plan (if any) leaves the
+    /// message untouched. Log the result with [`Self::record_edge`]
+    /// once the lock is released.
+    fn chaos_gate(
+        &self,
+        st: &mut EpState<I, M>,
+        from: &I,
+        to: &I,
+        arm: bool,
+    ) -> Option<EdgeFaults<M>> {
+        if !self.faults.msg_faults.load(Ordering::Relaxed) {
+            return None;
+        }
+        let cfg = self.chaos_cfg()?;
+        let plan = &cfg.plan;
+        let msg = plan.has_message_faults();
+        if !msg && (arm || !plan.has_connection_faults()) {
+            return None;
+        }
         let c = st.chaos_in_seqs.entry(from.clone()).or_insert(0);
-        let s = *c;
+        let seq = *c;
         *c += 1;
-        s
+        let conn = if arm {
+            None
+        } else if plan.decide_partition(from, to, seq) {
+            Some(FaultKind::Partition)
+        } else if plan.decide_sever(from, to, seq) {
+            Some(FaultKind::Sever)
+        } else {
+            None
+        };
+        let plain = msg && !arm;
+        let drop = msg && plan.decide_drop(from, to, seq);
+        Some(EdgeFaults {
+            seq,
+            conn,
+            delay: (plain && plan.decide_delay(from, to, seq)).then(|| plan.delay()),
+            drop,
+            dup: (plain && !drop && plan.decide_duplicate(from, to, seq)).then_some(cfg.clone_fn),
+        })
+    }
+
+    /// Logs what [`Self::chaos_gate`] injected, at decision time and in
+    /// a fixed order, so the log is a pure function of the plan.
+    fn record_edge(&self, from: &I, to: &I, f: &EdgeFaults<M>) {
+        let kinds = [
+            f.conn,
+            f.dup.map(|_| FaultKind::Duplicate),
+            f.delay.map(|_| FaultKind::Delay),
+            f.drop.then_some(FaultKind::Drop),
+        ];
+        for kind in kinds.into_iter().flatten() {
+            self.record_fault(kind, from, to, f.seq);
+        }
     }
 
     /// Takes the message from `from` out of `me`'s inbox (`st` is
@@ -768,14 +853,28 @@ where
     /// asynchronous receives, selections, and claimed send arms — funnels
     /// through here, so this is the single point where a completed
     /// rendezvous becomes observable.
-    fn take_from(&self, st: &mut EpState<I, M>, me: &I, from: &I) -> Option<M> {
+    ///
+    /// Consumes `me`'s guard `st`: after a pickup it wakes the sender,
+    /// whose phase 2 sleeps on `me`'s condvar, and the watchers that may
+    /// care about the freed slot.
+    fn take_from(
+        &self,
+        me_ep: &Endpoint<I, M>,
+        mut st: parking_lot::MutexGuard<'_, EpState<I, M>>,
+        me: &I,
+        from: &I,
+    ) -> Option<M> {
         let msg = st.inbox.remove(from)?;
-        *st.acks.entry(from.clone()).or_insert(0) += 1;
+        st.edge(from).acks += 1;
         st.bump_signal();
         self.activity.fetch_add(1, Ordering::Relaxed);
         if self.rendezvous.enabled.load(Ordering::Relaxed) {
-            self.record_rendezvous(st, me, from, &msg);
+            self.record_rendezvous(&mut st, me, from, &msg);
         }
+        let watchers = st.watchers.clone();
+        drop(st);
+        me_ep.cond.notify_all();
+        Self::wake(watchers.into_iter().map(|(_, w)| w));
         Some(msg)
     }
 
@@ -810,21 +909,6 @@ where
         self.registry()
             .iter()
             .any(|(id, ep)| id != me && ep.life.load(Ordering::SeqCst) != LIFE_DONE)
-    }
-
-    /// Waits on `ep`'s condvar. Returns `true` on deadline expiry.
-    fn wait_on(
-        ep: &Endpoint<I, M>,
-        st: &mut parking_lot::MutexGuard<'_, EpState<I, M>>,
-        deadline: Option<Instant>,
-    ) -> bool {
-        match deadline {
-            Some(d) => ep.cond.wait_until(st, d).timed_out(),
-            None => {
-                ep.cond.wait(st);
-                false
-            }
-        }
     }
 }
 
@@ -1027,201 +1111,12 @@ where
         msg: M,
         deadline: Option<Instant>,
     ) -> Result<(), ChanError<I>> {
-        let start = Instant::now();
-        let result = self.send_impl(from, to, msg, deadline);
-        if result.is_ok() {
-            self.latency.record(LatencyOp::Send, start.elapsed());
-        }
-        result
+        let op = self.start_send(from, to, msg, deadline)?;
+        self.block_on(op)
     }
 
     fn try_recv(&self, me: &I, from: &I) -> Result<Option<M>, ChanError<I>> {
         let start = Instant::now();
-        let result = self.try_recv_impl(me, from);
-        if matches!(result, Ok(Some(_))) {
-            self.latency.record(LatencyOp::TryRecv, start.elapsed());
-        }
-        result
-    }
-
-    fn select(
-        &self,
-        me: &I,
-        arms: Vec<Arm<I, M>>,
-        deadline: Option<Instant>,
-    ) -> Result<Outcome<I, M>, ChanError<I>> {
-        let start = Instant::now();
-        let result = self.select_impl(me, arms, deadline);
-        if matches!(
-            result,
-            Ok(Outcome::Received { .. }) | Ok(Outcome::Sent { .. })
-        ) {
-            self.latency.record(LatencyOp::Select, start.elapsed());
-        }
-        result
-    }
-
-    fn submit_send(
-        self: Arc<Self>,
-        from: &I,
-        to: &I,
-        msg: M,
-        deadline: Option<Instant>,
-        done: SendDone<I>,
-    ) -> Result<(), (M, SendDone<I>)> {
-        self.submit_send_native(from, to, msg, deadline, done);
-        Ok(())
-    }
-
-    fn submit_select(
-        self: Arc<Self>,
-        me: &I,
-        arms: Vec<Arm<I, M>>,
-        deadline: Option<Instant>,
-        done: SelectDone<I, M>,
-    ) -> Result<(), (Vec<Arm<I, M>>, SelectDone<I, M>)> {
-        self.submit_select_native(me, arms, deadline, done);
-        Ok(())
-    }
-}
-
-impl<I, M> ShardedTransport<I, M>
-where
-    I: Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static,
-    M: Send + 'static,
-{
-    /// [`Transport::send`] body; the trait method wraps it with latency
-    /// recording.
-    fn send_impl(
-        &self,
-        from: &I,
-        to: &I,
-        msg: M,
-        deadline: Option<Instant>,
-    ) -> Result<(), ChanError<I>> {
-        if to == from {
-            return Err(ChanError::Myself);
-        }
-        let to_ep = self.ensure(to)?;
-        let from_ep = self.ensure(from)?;
-
-        // Chaos hooks — two relaxed boolean loads on the fault-free path.
-        if self.faults.crashes.load(Ordering::Relaxed) {
-            self.chaos_step(from, &from_ep)?;
-        }
-        let mut dup_info: Option<M> = None;
-        if self.faults.msg_faults.load(Ordering::Relaxed) {
-            if let Some(cfg) = self.chaos_cfg() {
-                let has_msg = cfg.plan.has_message_faults();
-                if has_msg || cfg.plan.has_connection_faults() {
-                    let seq = self.chaos_edge_seq(from, &to_ep);
-                    // Connection faults decide (and record) here at the
-                    // sending edge like every other class — that is what
-                    // keeps fault logs identical across transports — but
-                    // are *enacted* only by connection-oriented hubs
-                    // observing the record. In-process they are no-ops.
-                    if cfg.plan.decide_partition(from, to, seq) {
-                        self.record_fault(FaultKind::Partition, from, to, seq);
-                    } else if cfg.plan.decide_sever(from, to, seq) {
-                        self.record_fault(FaultKind::Sever, from, to, seq);
-                    }
-                    if has_msg {
-                        let delayed = cfg.plan.decide_delay(from, to, seq);
-                        let dropped = cfg.plan.decide_drop(from, to, seq);
-                        if !dropped && cfg.plan.decide_duplicate(from, to, seq) {
-                            // Recorded here, at decision time, so the fault
-                            // log is a pure function of the plan; the
-                            // redelivery below stays best-effort.
-                            self.record_fault(FaultKind::Duplicate, from, to, seq);
-                            dup_info = Some((cfg.clone_fn)(&msg));
-                        }
-                        if delayed {
-                            self.record_fault(FaultKind::Delay, from, to, seq);
-                            std::thread::sleep(cfg.plan.delay());
-                        }
-                        if dropped {
-                            // Lost on the wire *after* transmission: the
-                            // sender observes success (unless the peer is
-                            // already gone); the receiver never sees it.
-                            self.record_fault(FaultKind::Drop, from, to, seq);
-                            if self.aborted.load(Ordering::SeqCst) {
-                                return Err(ChanError::Aborted);
-                            }
-                            return match life_of(to_ep.life.load(Ordering::SeqCst)) {
-                                PeerState::Done => Err(ChanError::Terminated(to.clone())),
-                                _ => Ok(()),
-                            };
-                        }
-                    }
-                }
-            }
-        }
-
-        // Phase 1: wait for the receiver to be active with a free slot,
-        // then deposit. Everything happens under the *receiver's* lock.
-        let mut st = to_ep.state.lock();
-        loop {
-            if self.aborted.load(Ordering::SeqCst) {
-                return Err(ChanError::Aborted);
-            }
-            match life_of(to_ep.life.load(Ordering::SeqCst)) {
-                PeerState::Done => return Err(ChanError::Terminated(to.clone())),
-                PeerState::Expected => {}
-                PeerState::Active => {
-                    if !st.inbox.contains_key(from) {
-                        break;
-                    }
-                }
-            }
-            if Self::wait_on(&to_ep, &mut st, deadline) {
-                return Err(ChanError::Timeout);
-            }
-        }
-        st.inbox.insert(from.clone(), msg);
-        st.bump_signal();
-        self.activity.fetch_add(1, Ordering::Relaxed);
-        let target = st.acks.get(from).copied().unwrap_or(0) + 1;
-
-        // Phase 2: wait for pickup (still on the receiver's endpoint;
-        // the pickup bumps `acks[from]` and notifies this condvar).
-        to_ep.cond.notify_all();
-        loop {
-            if st.acks.get(from).copied().unwrap_or(0) >= target {
-                break;
-            }
-            if self.aborted.load(Ordering::SeqCst) {
-                return Err(ChanError::Aborted);
-            }
-            if to_ep.life.load(Ordering::SeqCst) == LIFE_DONE {
-                // Receiver finished without taking the message: reclaim.
-                st.inbox.remove(from);
-                return Err(ChanError::Terminated(to.clone()));
-            }
-            if Self::wait_on(&to_ep, &mut st, deadline) {
-                // Timed out waiting for pickup: reclaim the deposit so
-                // the message is not delivered after we report failure.
-                st.inbox.remove(from);
-                return Err(ChanError::Timeout);
-            }
-        }
-
-        // Rendezvous complete. Deliver the chaos duplicate, if planned
-        // and the edge slot is free (best-effort redelivery).
-        if let Some(copy) = dup_info {
-            if !st.inbox.contains_key(from) && to_ep.life.load(Ordering::SeqCst) == LIFE_ACTIVE {
-                st.inbox.insert(from.clone(), copy);
-                st.bump_signal();
-                self.activity.fetch_add(1, Ordering::Relaxed);
-                drop(st);
-                to_ep.cond.notify_all();
-            }
-        }
-        Ok(())
-    }
-
-    /// [`Transport::try_recv`] body; the trait method wraps it with
-    /// latency recording.
-    fn try_recv_impl(&self, me: &I, from: &I) -> Result<Option<M>, ChanError<I>> {
         if from == me {
             return Err(ChanError::Myself);
         }
@@ -1233,244 +1128,203 @@ where
         if self.aborted.load(Ordering::SeqCst) {
             return Err(ChanError::Aborted);
         }
-        let mut st = me_ep.state.lock();
-        if let Some(msg) = self.take_from(&mut st, me, from) {
-            let watchers = st.watchers.clone();
-            drop(st);
-            // The sender's phase 2 sleeps on *my* condvar; watchers may
-            // care about the freed slot.
-            me_ep.cond.notify_all();
-            Self::wake_watchers(watchers);
+        if let Some(msg) = self.take_from(&me_ep, me_ep.state.lock(), me, from) {
+            self.latency.record(LatencyOp::TryRecv, start.elapsed());
             return Ok(Some(msg));
         }
-        drop(st);
         if from_ep.life.load(Ordering::SeqCst) == LIFE_DONE {
             return Err(ChanError::Terminated(from.clone()));
         }
         Ok(None)
     }
 
-    /// [`Transport::select`] body; the trait method wraps it with
-    /// latency recording.
-    fn select_impl(
+    fn select(
         &self,
         me: &I,
         arms: Vec<Arm<I, M>>,
         deadline: Option<Instant>,
     ) -> Result<Outcome<I, M>, ChanError<I>> {
-        let (me_ep, mut reprs) = self.prepare_select(me, arms)?;
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        let watched = Self::register_watchers(token, &me_ep, &reprs);
-        let result = self.select_loop(me, &me_ep, &mut reprs, deadline);
-        Self::deregister_watchers(token, watched);
-        result
+        let op = self.start_select(me, arms, deadline)?;
+        self.block_on(op)
     }
 
-    /// Validates and resolves a selection's arms: the internal
-    /// representation makes send messages take-able and resolves every
-    /// named peer's endpoint once up front. Also counts the selection
-    /// toward crash-at-step-*k*. Shared by the blocking and
-    /// asynchronous paths.
-    #[allow(clippy::type_complexity)]
-    fn prepare_select(
-        &self,
+    fn submit_send(
+        self: Arc<Self>,
+        from: &I,
+        to: &I,
+        msg: M,
+        deadline: Option<Instant>,
+        done: SendDone<I>,
+    ) {
+        match self.start_send(from.clone(), to.clone(), msg, deadline) {
+            Ok(op) => {
+                let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+                Self::enqueue_op(&self, token, AsyncOp::Send(op, done));
+            }
+            Err(e) => done(Err(e)),
+        }
+    }
+
+    fn submit_select(
+        self: Arc<Self>,
         me: &I,
         arms: Vec<Arm<I, M>>,
-    ) -> Result<
-        (
-            Arc<Endpoint<I, M>>,
-            Vec<(SelRepr<I, M>, Option<Arc<Endpoint<I, M>>>)>,
-        ),
-        ChanError<I>,
-    > {
+        deadline: Option<Instant>,
+        done: SelectDone<I, M>,
+    ) {
+        match self.start_select(me.clone(), arms, deadline) {
+            Ok(op) => Self::enqueue_op(&self, op.token, AsyncOp::Select(op, done)),
+            Err(e) => done(Err(e)),
+        }
+    }
+}
+
+impl<I, M> ShardedTransport<I, M>
+where
+    I: Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static,
+    M: Send + 'static,
+{
+    /// Starts a send for either driver: validation, the crash step and
+    /// the chaos gate run here, once. The blocking driver lends the ids
+    /// (`K = &I`); a submitted op owns them.
+    fn start_send<K: Borrow<I>>(
+        &self,
+        from_id: K,
+        to_id: K,
+        msg: M,
+        deadline: Option<Instant>,
+    ) -> Result<SendOp<I, M, K>, ChanError<I>> {
+        let started = Instant::now();
+        let (from, to) = (from_id.borrow(), to_id.borrow());
+        if to == from {
+            return Err(ChanError::Myself);
+        }
+        let to_ep = self.ensure(to)?;
+        let from_ep = self.ensure(from)?;
+        if self.faults.crashes.load(Ordering::Relaxed) {
+            self.chaos_step(from, &from_ep)?;
+        }
+        let faults = if self.faults.msg_faults.load(Ordering::Relaxed) {
+            self.chaos_gate(&mut to_ep.state.lock(), from, to, false)
+        } else {
+            None
+        };
+        let (dup, ready_at, dropped) = match faults {
+            Some(f) => {
+                self.record_edge(from, to, &f);
+                let ready_at = f.delay.map(|d| Instant::now() + d);
+                (f.dup.map(|clone| clone(&msg)), ready_at, f.drop)
+            }
+            None => (None, None, false),
+        };
+        Ok(SendOp {
+            from: from_id,
+            to: to_id,
+            to_ep,
+            ticket: None,
+            msg: Some(msg),
+            dup,
+            ack_target: None,
+            ready_at,
+            dropped,
+            deadline,
+            started,
+        })
+    }
+
+    /// Puts `msg` from `from` into the inbox of `ep` (`st` is its
+    /// state) and wakes everyone waiting on that endpoint.
+    fn deposit(&self, ep: &Endpoint<I, M>, st: &mut EpState<I, M>, from: &I, msg: M) {
+        st.inbox.insert(from.clone(), msg);
+        st.bump_signal();
+        self.activity.fetch_add(1, Ordering::Relaxed);
+        ep.cond.notify_all();
+    }
+
+    /// Takes a finished send op out of `from`'s queue on this endpoint;
+    /// when the head moved on, wakes the ops behind it, since the next
+    /// one may now deposit.
+    fn leave_queue(st: &mut EpState<I, M>, ep: &Endpoint<I, M>, from: &I, ticket: u64) {
+        let queue = &mut st.edge(from).queue;
+        let was_head = queue.front() == Some(&ticket);
+        queue.retain(|t| *t != ticket);
+        if was_head && !queue.is_empty() {
+            st.bump_signal();
+            ep.cond.notify_all();
+        }
+    }
+
+    /// Starts a selection for either driver: validates and resolves the
+    /// arms (send messages become take-able, every named peer's endpoint
+    /// is resolved once), counts the selection toward crash-at-step-*k*,
+    /// and registers `me` as a send watcher on every send-arm target so
+    /// their offer publications and slot releases wake it. Ids are held
+    /// as in [`Self::start_send`].
+    fn start_select<K: Borrow<I>>(
+        &self,
+        me_id: K,
+        arms: Vec<Arm<I, M>>,
+        deadline: Option<Instant>,
+    ) -> Result<SelectOp<I, M, K>, ChanError<I>> {
+        let started = Instant::now();
+        let me = me_id.borrow();
         if arms.is_empty() {
             return Err(ChanError::EmptySelect);
         }
         let me_ep = self.ensure(me)?;
-        type ArmRepr<I, M> = (SelRepr<I, M>, Option<Arc<Endpoint<I, M>>>);
         let mut reprs: Vec<ArmRepr<I, M>> = Vec::with_capacity(arms.len());
         for arm in arms {
-            let (repr, named) = match arm {
-                Arm::Recv(Source::Of(p)) => (SelRepr::Recv(Source::Of(p.clone())), Some(p)),
-                Arm::Recv(Source::Any) => (SelRepr::Recv(Source::Any), None),
-                Arm::Send { to, msg } => (
-                    SelRepr::Send {
-                        to: to.clone(),
-                        msg: Some(msg),
-                    },
-                    Some(to),
-                ),
-                Arm::Watch(p) => (SelRepr::Watch(p.clone()), Some(p)),
+            // Send messages become take-able: a send arm fires at most once.
+            let arm = match arm {
+                Arm::Send { to, msg } => Arm::Send { to, msg: Some(msg) },
+                Arm::Recv(source) => Arm::Recv(source),
+                Arm::Watch(p) => Arm::Watch(p),
             };
-            let ep = match named {
-                Some(p) => {
-                    if p == *me {
+            let ep = match &arm {
+                Arm::Recv(Source::Any) => None,
+                Arm::Recv(Source::Of(p)) | Arm::Send { to: p, .. } | Arm::Watch(p) => {
+                    if p == me {
                         return Err(ChanError::Myself);
                     }
-                    Some(self.ensure(&p)?)
+                    Some(self.ensure(p)?)
                 }
-                None => None,
             };
-            reprs.push((repr, ep));
+            reprs.push((arm, ep));
         }
         // Chaos: selection counts as one operation toward crash-at-step-k.
         if self.faults.crashes.load(Ordering::Relaxed) {
             self.chaos_step(me, &me_ep)?;
         }
-        Ok((me_ep, reprs))
-    }
-
-    /// Registers `me` as a send watcher on every send-arm target, so
-    /// their offer publications and slot releases wake us. Every
-    /// selection exit path must pass the returned endpoints to
-    /// [`Self::deregister_watchers`].
-    #[allow(clippy::type_complexity)]
-    fn register_watchers(
-        token: u64,
-        me_ep: &Arc<Endpoint<I, M>>,
-        reprs: &[(SelRepr<I, M>, Option<Arc<Endpoint<I, M>>>)],
-    ) -> Vec<Arc<Endpoint<I, M>>> {
+        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
         let mut watched: Vec<Arc<Endpoint<I, M>>> = Vec::new();
-        for (repr, ep) in reprs {
-            if let (SelRepr::Send { .. }, Some(t_ep)) = (repr, ep) {
+        for (repr, ep) in &reprs {
+            if let (Arm::Send { .. }, Some(t_ep)) = (repr, ep) {
                 if !watched.iter().any(|w| Arc::ptr_eq(w, t_ep)) {
-                    t_ep.state.lock().watchers.push((token, me_ep.clone()));
-                    watched.push(t_ep.clone());
+                    t_ep.state.lock().watchers.push((token, Arc::clone(&me_ep)));
+                    watched.push(Arc::clone(t_ep));
                 }
             }
         }
-        watched
-    }
-
-    fn deregister_watchers(token: u64, watched: Vec<Arc<Endpoint<I, M>>>) {
-        for t_ep in watched {
-            t_ep.state.lock().watchers.retain(|(t, _)| *t != token);
-        }
-    }
-
-    /// The selection loop body (watcher registration handled by the
-    /// caller). `reprs` pairs each arm with its resolved endpoint.
-    ///
-    /// The loop shares its machinery — [`Self::take_claim`],
-    /// [`Self::scan_arms`], [`Self::publish_offers`] — with the
-    /// poll-based asynchronous selection, so the two paths cannot drift.
-    #[allow(clippy::type_complexity)]
-    fn select_loop(
-        &self,
-        me: &I,
-        me_ep: &Arc<Endpoint<I, M>>,
-        reprs: &mut [(SelRepr<I, M>, Option<Arc<Endpoint<I, M>>>)],
-        deadline: Option<Instant>,
-    ) -> Result<Outcome<I, M>, ChanError<I>> {
-        loop {
-            let (sig0, claimed) = self.take_claim(me, me_ep, reprs);
-            if let Some(outcome) = claimed {
-                return Ok(outcome);
-            }
-            if self.aborted.load(Ordering::SeqCst) {
-                return Err(ChanError::Aborted);
-            }
-            if let Some(outcome) = self.scan_arms(me, me_ep, reprs)? {
-                return Ok(outcome);
-            }
-            self.publish_offers(me_ep, reprs);
-            // Sleep — unless the eventcount moved since the scan
-            // started, in which case something changed mid-scan and we
-            // rescan.
-            let mut st = me_ep.state.lock();
-            if st.signal != sig0 {
-                continue;
-            }
-            if Self::wait_on(me_ep, &mut st, deadline) {
-                // Deadline expired — unless a claim raced in, in which
-                // case the loop head will honor it.
-                let resolved = st
-                    .wait
-                    .as_ref()
-                    .map(|w| w.resolved.is_some())
-                    .unwrap_or(false);
-                if !resolved {
-                    st.wait = None;
-                    return Err(ChanError::Timeout);
-                }
-            }
-        }
-    }
-
-    /// Loop head of a selection, under `me`'s own lock: snapshots the
-    /// eventcount, withdraws any published offers so no claim can land
-    /// mid-scan, and honors a claim left by a sender while we slept
-    /// (priority even over aborts — the claiming sender already
-    /// returned success).
-    #[allow(clippy::type_complexity)]
-    fn take_claim(
-        &self,
-        me: &I,
-        me_ep: &Arc<Endpoint<I, M>>,
-        reprs: &[(SelRepr<I, M>, Option<Arc<Endpoint<I, M>>>)],
-    ) -> (u64, Option<Outcome<I, M>>) {
-        let mut st = me_ep.state.lock();
-        let sig0 = st.signal;
-        if let Some(entry) = st.wait.take() {
-            if let Some(from) = entry.resolved {
-                let msg = self
-                    .take_from(&mut st, me, &from)
-                    .expect("claim implies a deposited message");
-                let watchers = st.watchers.clone();
-                drop(st);
-                me_ep.cond.notify_all();
-                Self::wake_watchers(watchers);
-                let arm = reprs
-                    .iter()
-                    .position(|(r, _)| match r {
-                        SelRepr::Recv(Source::Any) => true,
-                        SelRepr::Recv(Source::Of(p)) => *p == from,
-                        _ => false,
-                    })
-                    .expect("claim matched an offered receive arm");
-                return (sig0, Some(Outcome::Received { arm, from, msg }));
-            }
-        }
-        (sig0, None)
-    }
-
-    /// Publishes `me`'s receive offers so send arms elsewhere can claim
-    /// us, then wakes the selectors watching us.
-    #[allow(clippy::type_complexity)]
-    fn publish_offers(
-        &self,
-        me_ep: &Arc<Endpoint<I, M>>,
-        reprs: &[(SelRepr<I, M>, Option<Arc<Endpoint<I, M>>>)],
-    ) {
-        let offers: Vec<Source<I>> = reprs
-            .iter()
-            .filter_map(|(r, _)| match r {
-                SelRepr::Recv(s) => Some(s.clone()),
-                _ => None,
-            })
-            .collect();
-        let watchers;
-        {
-            let mut st = me_ep.state.lock();
-            st.wait = Some(WaitEntry {
-                offers,
-                resolved: None,
-            });
-            watchers = st.watchers.clone();
-        }
-        Self::wake_watchers(watchers);
+        Ok(SelectOp {
+            me: me_id,
+            me_ep,
+            reprs,
+            watched,
+            token,
+            deadline,
+            started,
+        })
     }
 
     /// One fairness-shuffled pass over the arms, locking only the
     /// endpoint each arm concerns (never two at once). `Ok(Some(..))`:
     /// an arm fired. `Ok(None)`: nothing ready, but something may yet
     /// fire. `Err(..)`: every arm is permanently unfireable.
-    #[allow(clippy::type_complexity)]
     fn scan_arms(
         &self,
         me: &I,
-        me_ep: &Arc<Endpoint<I, M>>,
-        reprs: &mut [(SelRepr<I, M>, Option<Arc<Endpoint<I, M>>>)],
+        me_ep: &Endpoint<I, M>,
+        reprs: &mut [ArmRepr<I, M>],
     ) -> Result<Option<Outcome<I, M>>, ChanError<I>> {
         {
             let mut order: Vec<usize> = (0..reprs.len()).collect();
@@ -1479,37 +1333,26 @@ where
             for idx in order {
                 let (repr, arm_ep) = &mut reprs[idx];
                 match repr {
-                    SelRepr::Recv(Source::Of(p)) => {
-                        let p = p.clone();
-                        let mut st = me_ep.state.lock();
-                        if let Some(msg) = self.take_from(&mut st, me, &p) {
-                            let watchers = st.watchers.clone();
-                            drop(st);
-                            me_ep.cond.notify_all();
-                            Self::wake_watchers(watchers);
+                    Arm::Recv(Source::Of(p)) => {
+                        if let Some(msg) = self.take_from(me_ep, me_ep.state.lock(), me, p) {
                             return Ok(Some(Outcome::Received {
                                 arm: idx,
-                                from: p,
+                                from: p.clone(),
                                 msg,
                             }));
                         }
-                        drop(st);
                         let p_ep = arm_ep.as_ref().expect("named arm resolved");
                         if p_ep.life.load(Ordering::SeqCst) != LIFE_DONE {
                             any_live = true;
                         }
                     }
-                    SelRepr::Recv(Source::Any) => {
+                    Arm::Recv(Source::Any) => {
                         let mut st = me_ep.state.lock();
                         let senders: Vec<I> = st.inbox.keys().cloned().collect();
                         if let Some(from) = senders.choose(&mut st.rng).cloned() {
                             let msg = self
-                                .take_from(&mut st, me, &from)
+                                .take_from(me_ep, st, me, &from)
                                 .expect("chosen sender has a message");
-                            let watchers = st.watchers.clone();
-                            drop(st);
-                            me_ep.cond.notify_all();
-                            Self::wake_watchers(watchers);
                             return Ok(Some(Outcome::Received {
                                 arm: idx,
                                 from,
@@ -1521,7 +1364,7 @@ where
                             any_live = true;
                         }
                     }
-                    SelRepr::Send { to, msg } => {
+                    Arm::Send { to, msg } => {
                         let to = to.clone();
                         let t_ep = arm_ep.as_ref().expect("named arm resolved").clone();
                         match life_of(t_ep.life.load(Ordering::SeqCst)) {
@@ -1542,56 +1385,33 @@ where
                                     // Chaos: a dropped send arm still
                                     // fires (the sender saw delivery) but
                                     // leaves the receiver waiting.
-                                    if self.faults.msg_faults.load(Ordering::Relaxed) {
-                                        if let Some(cfg) = self.chaos_cfg() {
-                                            if cfg.plan.has_message_faults() {
-                                                let c =
-                                                    ts.chaos_in_seqs.entry(me.clone()).or_insert(0);
-                                                let seq = *c;
-                                                *c += 1;
-                                                if cfg.plan.decide_drop(me, &to, seq) {
-                                                    drop(ts);
-                                                    self.record_fault(
-                                                        FaultKind::Drop,
-                                                        me,
-                                                        &to,
-                                                        seq,
-                                                    );
-                                                    return Ok(Some(Outcome::Sent {
-                                                        arm: idx,
-                                                        to,
-                                                    }));
-                                                }
-                                            }
+                                    if let Some(f) = self.chaos_gate(&mut ts, me, &to, true) {
+                                        if f.drop {
+                                            drop(ts);
+                                            self.record_edge(me, &to, &f);
+                                            return Ok(Some(Outcome::Sent { arm: idx, to }));
                                         }
                                     }
-                                    ts.inbox.insert(me.clone(), m);
                                     ts.wait.as_mut().expect("checked above").resolved =
                                         Some(me.clone());
-                                    ts.bump_signal();
-                                    self.activity.fetch_add(1, Ordering::Relaxed);
-                                    drop(ts);
-                                    t_ep.cond.notify_all();
+                                    self.deposit(&t_ep, &mut ts, me, m);
                                     return Ok(Some(Outcome::Sent { arm: idx, to }));
                                 }
                             }
                         }
                     }
-                    SelRepr::Watch(p) => {
-                        let p = p.clone();
+                    Arm::Watch(p) => {
                         let p_ep = arm_ep.as_ref().expect("named arm resolved");
-                        if p_ep.life.load(Ordering::SeqCst) == LIFE_DONE {
-                            let pending = me_ep.state.lock().inbox.contains_key(&p);
-                            if !pending {
-                                return Ok(Some(Outcome::Terminated { arm: idx, peer: p }));
-                            }
-                            // A message from the dead peer is still
-                            // pending: a recv arm must drain it first;
-                            // the watch arm stays pending.
-                            any_live = true;
-                        } else {
-                            any_live = true;
+                        // While a message from the dead peer is still
+                        // pending, a recv arm must drain it first; the
+                        // watch arm stays pending.
+                        if p_ep.life.load(Ordering::SeqCst) == LIFE_DONE
+                            && !me_ep.state.lock().inbox.contains_key(p)
+                        {
+                            let peer = p.clone();
+                            return Ok(Some(Outcome::Terminated { arm: idx, peer }));
                         }
+                        any_live = true;
                     }
                 }
             }
@@ -1599,9 +1419,7 @@ where
             if !any_live {
                 // Every arm is permanently unfireable.
                 if reprs.len() == 1 {
-                    if let (SelRepr::Recv(Source::Of(p)) | SelRepr::Send { to: p, .. }, _) =
-                        &reprs[0]
-                    {
+                    if let (Arm::Recv(Source::Of(p)) | Arm::Send { to: p, .. }, _) = &reprs[0] {
                         return Err(ChanError::Terminated(p.clone()));
                     }
                 }
@@ -1610,27 +1428,343 @@ where
         }
         Ok(None)
     }
+
+    /// The blocking driver: polls `op` inline on the caller's thread,
+    /// parking on its home endpoint's condvar — under the guard the
+    /// pending poll handed back — between polls. No scheduler hop, no
+    /// allocation.
+    fn block_on<O: Op<I, M>>(&self, mut op: O) -> Result<O::Output, ChanError<I>> {
+        let home = Arc::clone(op.home());
+        loop {
+            match op.poll(self, &home) {
+                Step::Ready(result) => {
+                    op.record_latency(&self.latency, &result);
+                    return result;
+                }
+                // A timed-out wait needs no handling here: the next poll
+                // sees the expired deadline (or delay gate).
+                Step::Pending(mut st) => match op.wake_at() {
+                    Some(at) => {
+                        home.cond.wait_until(&mut st, at);
+                    }
+                    None => home.cond.wait(&mut st),
+                },
+            }
+        }
+    }
 }
 
-/// Internal selection-arm representation (named at module scope so the
-/// helper method can reference it).
-enum SelRepr<I, M> {
-    Recv(Source<I>),
-    Send { to: I, msg: Option<M> },
-    Watch(I),
-}
+/// A selection arm paired with its named peer's resolved endpoint.
+type ArmRepr<I, M> = (Arm<I, Option<M>>, Option<Arc<Endpoint<I, M>>>);
 
 // ---------------------------------------------------------------------
-// Asynchronous operations: nonblocking state machines for send/select,
-// driven by one scheduler thread per transport.
+// The rendezvous state machines and their two drivers.
 //
-// The blocking paths above park a caller thread on an endpoint condvar;
-// the machines below park a *token* on the endpoint instead
-// (`EpState::op_waiters`) and re-poll when the eventcount bumps. The
-// two paths share the same scan/claim/deposit code, so a hub serving
-// thousands of spokes multiplexes every blocked rendezvous onto a
-// single thread without any change in observable semantics.
+// Each operation is one poll-style machine (`Op`). The blocking entry
+// points poll it inline and sleep on an endpoint condvar between polls
+// (`ShardedTransport::block_on`); submitted operations hand it to one
+// scheduler thread per transport, which parks a *token* on the endpoint
+// instead (`EpState::op_waiters`) and re-polls when the eventcount
+// bumps. A hub serving thousands of spokes thus multiplexes every
+// blocked rendezvous onto one thread, with the very same transitions.
 // ---------------------------------------------------------------------
+
+/// What one poll of an [`Op`] produced.
+enum Step<'e, I, M, T> {
+    /// The operation completed.
+    Ready(Result<T, ChanError<I>>),
+    /// Nothing to do yet: the home endpoint's guard, taken after the
+    /// op's last check, so the driver parks with no lost wakeup.
+    Pending(parking_lot::MutexGuard<'e, EpState<I, M>>),
+}
+
+/// A rendezvous operation as a poll-style state machine.
+trait Op<I, M> {
+    type Output;
+    /// The endpoint the op parks on: the receiver's for a send, the
+    /// selector's own for a selection.
+    fn home(&self) -> &Arc<Endpoint<I, M>>;
+    /// When to poll again even without a wakeup: the deadline, or the
+    /// end of a chaos delay.
+    fn wake_at(&self) -> Option<Instant>;
+    /// Advances the op as far as it can go. `home` is [`Op::home`].
+    fn poll<'e>(
+        &mut self,
+        t: &ShardedTransport<I, M>,
+        home: &'e Endpoint<I, M>,
+    ) -> Step<'e, I, M, Self::Output>;
+    /// Records the latency sample the outcome owes, if any: only
+    /// successful operations are sampled. Both drivers complete through
+    /// here.
+    fn record_latency(&self, latency: &LatencyHooks, result: &Result<Self::Output, ChanError<I>>);
+}
+
+/// A synchronous send `from → to`: deposit into the receiver's inbox
+/// (phase 1), then await pickup (phase 2), homed on the receiver's
+/// endpoint. Ids (`K`) are borrowed on the blocking path and owned
+/// once submitted.
+struct SendOp<I, M, K = I> {
+    from: K,
+    to: K,
+    to_ep: Arc<Endpoint<I, M>>,
+    /// The op's place in the receiver's queue for `from`, taken at its
+    /// first poll.
+    ticket: Option<u64>,
+    /// Taken at deposit.
+    msg: Option<M>,
+    /// Chaos duplicate, redelivered best-effort after pickup.
+    dup: Option<M>,
+    /// The `acks` level on the edge that proves pickup; `Some` once
+    /// deposited.
+    ack_target: Option<u64>,
+    /// Chaos delay: no deposit before this.
+    ready_at: Option<Instant>,
+    /// Chaos drop: the message is lost on the wire and never queued.
+    dropped: bool,
+    deadline: Option<Instant>,
+    started: Instant,
+}
+
+impl<I, M, K: Borrow<I>> SendOp<I, M, K>
+where
+    I: Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static,
+    M: Send + 'static,
+{
+    /// The send's transitions, under the receiver's lock `st`. `None`:
+    /// not ready.
+    fn advance(
+        &mut self,
+        t: &ShardedTransport<I, M>,
+        ep: &Endpoint<I, M>,
+        st: &mut EpState<I, M>,
+    ) -> Option<Result<(), ChanError<I>>> {
+        let aborted = t.aborted.load(Ordering::SeqCst);
+        let life = life_of(ep.life.load(Ordering::SeqCst));
+        let gone = if aborted {
+            Err(ChanError::Aborted)
+        } else if life == PeerState::Done {
+            Err(ChanError::Terminated(self.to.borrow().clone()))
+        } else {
+            Ok(())
+        };
+        if self.dropped {
+            // Lost on the wire *after* transmission: the sender observes
+            // success unless the peer is already gone. It never queued.
+            return Some(gone);
+        }
+        let from: &I = self.from.borrow();
+        // The first poll queues the op behind the edge's earlier sends.
+        let edge = st.edge(from);
+        let ticket = *self.ticket.get_or_insert_with(|| {
+            edge.issued += 1;
+            edge.queue.push_back(edge.issued);
+            edge.issued
+        });
+        let (acks, head) = (edge.acks, edge.queue.front() == Some(&ticket));
+        if self.ack_target.is_some_and(|target| acks >= target) {
+            // Rendezvous complete; deliver the chaos duplicate if the
+            // edge slot is free (best-effort redelivery).
+            if let Some(copy) = self.dup.take() {
+                if !st.inbox.contains_key(from) && life == PeerState::Active {
+                    t.deposit(ep, st, from, copy);
+                }
+            }
+            return Some(Ok(()));
+        }
+        if gone.is_err() {
+            // A deposit the receiver finished without taking is
+            // reclaimed.
+            if !aborted && self.ack_target.is_some() {
+                st.inbox.remove(from);
+            }
+            return Some(gone);
+        }
+        if self.ready_at.is_some_and(|at| Instant::now() >= at) {
+            self.ready_at = None;
+        }
+        // Phase 1: deposit once this op heads its edge queue, the
+        // receiver is active with a free slot, and any chaos delay has
+        // elapsed. Phase 2 (awaiting pickup) has nothing to do here.
+        if self.ack_target.is_none()
+            && life == PeerState::Active
+            && self.ready_at.is_none()
+            && head
+            && !st.inbox.contains_key(from)
+        {
+            let msg = self.msg.take().expect("message deposited once");
+            t.deposit(ep, st, from, msg);
+            self.ack_target = Some(acks + 1);
+        }
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            // Timed out: reclaim an un-picked-up deposit so the message
+            // is not delivered after we report failure.
+            if self.ack_target.is_some() {
+                st.inbox.remove(from);
+            }
+            return Some(Err(ChanError::Timeout));
+        }
+        None
+    }
+}
+
+impl<I, M, K: Borrow<I>> Op<I, M> for SendOp<I, M, K>
+where
+    I: Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static,
+    M: Send + 'static,
+{
+    type Output = ();
+
+    fn home(&self) -> &Arc<Endpoint<I, M>> {
+        &self.to_ep
+    }
+
+    fn wake_at(&self) -> Option<Instant> {
+        match (self.ready_at, self.deadline) {
+            (Some(r), Some(d)) => Some(r.min(d)),
+            (r, d) => r.or(d),
+        }
+    }
+
+    fn poll<'e>(
+        &mut self,
+        t: &ShardedTransport<I, M>,
+        home: &'e Endpoint<I, M>,
+    ) -> Step<'e, I, M, ()> {
+        let mut st = home.state.lock();
+        let Some(result) = self.advance(t, home, &mut st) else {
+            return Step::Pending(st);
+        };
+        // A finished op leaves its edge queue, whatever the outcome: one
+        // that failed is never delivered.
+        if let Some(ticket) = self.ticket {
+            ShardedTransport::leave_queue(&mut st, home, self.from.borrow(), ticket);
+        }
+        Step::Ready(result)
+    }
+
+    fn record_latency(&self, latency: &LatencyHooks, result: &Result<(), ChanError<I>>) {
+        if result.is_ok() {
+            latency.record(LatencyOp::Send, self.started.elapsed());
+        }
+    }
+}
+
+/// A guarded selection on behalf of `me`, homed on `me`'s endpoint.
+struct SelectOp<I, M, K = I> {
+    me: K,
+    me_ep: Arc<Endpoint<I, M>>,
+    reprs: Vec<ArmRepr<I, M>>,
+    /// Send-arm targets `me` is registered on as a watcher (under
+    /// `token`); deregistered when the op is dropped.
+    watched: Vec<Arc<Endpoint<I, M>>>,
+    token: u64,
+    deadline: Option<Instant>,
+    started: Instant,
+}
+
+impl<I, M, K> Drop for SelectOp<I, M, K> {
+    fn drop(&mut self) {
+        let token = self.token;
+        for t_ep in self.watched.drain(..) {
+            t_ep.state.lock().watchers.retain(|(t, _)| *t != token);
+        }
+    }
+}
+
+impl<I, M, K: Borrow<I>> Op<I, M> for SelectOp<I, M, K>
+where
+    I: Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static,
+    M: Send + 'static,
+{
+    type Output = Outcome<I, M>;
+
+    fn home(&self) -> &Arc<Endpoint<I, M>> {
+        &self.me_ep
+    }
+
+    fn wake_at(&self) -> Option<Instant> {
+        self.deadline
+    }
+
+    fn poll<'e>(
+        &mut self,
+        t: &ShardedTransport<I, M>,
+        home: &'e Endpoint<I, M>,
+    ) -> Step<'e, I, M, Outcome<I, M>> {
+        let me: &I = self.me.borrow();
+        loop {
+            // Loop head, under `me`'s own lock: snapshot the eventcount,
+            // withdraw any published offers so no claim can land
+            // mid-scan, and honor a claim left by a sender while we
+            // slept (priority even over aborts — the claiming sender
+            // already returned success).
+            let mut st = home.state.lock();
+            let sig0 = st.signal;
+            if let Some(from) = st.wait.take().and_then(|w| w.resolved) {
+                let msg = t
+                    .take_from(home, st, me, &from)
+                    .expect("claim implies a deposited message");
+                let arm = self
+                    .reprs
+                    .iter()
+                    .position(|(r, _)| match r {
+                        Arm::Recv(Source::Any) => true,
+                        Arm::Recv(Source::Of(p)) => *p == from,
+                        _ => false,
+                    })
+                    .expect("claim matched an offered receive arm");
+                return Step::Ready(Ok(Outcome::Received { arm, from, msg }));
+            }
+            drop(st);
+            if t.aborted.load(Ordering::SeqCst) {
+                return Step::Ready(Err(ChanError::Aborted));
+            }
+            match t.scan_arms(me, home, &mut self.reprs) {
+                Ok(Some(outcome)) => return Step::Ready(Ok(outcome)),
+                Ok(None) => {}
+                Err(e) => return Step::Ready(Err(e)),
+            }
+            // Publish the receive offers so send arms elsewhere can
+            // claim us, then wake the selectors watching us.
+            let offers: Vec<Source<I>> = self
+                .reprs
+                .iter()
+                .filter_map(|(r, _)| match r {
+                    Arm::Recv(source) => Some(source.clone()),
+                    _ => None,
+                })
+                .collect();
+            let watchers = {
+                let mut st = home.state.lock();
+                st.wait = Some(WaitEntry {
+                    offers,
+                    resolved: None,
+                });
+                st.watchers.clone()
+            };
+            ShardedTransport::wake(watchers.into_iter().map(|(_, w)| w));
+            // Park — unless the eventcount moved since the loop head, in
+            // which case something changed mid-scan and we rescan.
+            let mut st = home.state.lock();
+            if st.signal != sig0 {
+                continue;
+            }
+            if self.deadline.is_some_and(|d| Instant::now() >= d) {
+                // The eventcount is unmoved, so no claim can have
+                // landed: withdraw the offers and time out.
+                st.wait = None;
+                return Step::Ready(Err(ChanError::Timeout));
+            }
+            return Step::Pending(st);
+        }
+    }
+
+    fn record_latency(&self, latency: &LatencyHooks, result: &Result<Outcome<I, M>, ChanError<I>>) {
+        if matches!(result, Ok(Outcome::Received { .. } | Outcome::Sent { .. })) {
+            latency.record(LatencyOp::Select, self.started.elapsed());
+        }
+    }
+}
 
 /// Shared handle between the transport, its scheduler thread, and the
 /// endpoints that park asynchronous operations.
@@ -1639,9 +1773,8 @@ struct SchedShared<I, M> {
     cond: Condvar,
 }
 
-/// The scheduler's run state: parked op state machines, tokens due for
-/// a poll, and the timer heap (deadlines and chaos-delay gates),
-/// earliest first.
+/// The scheduler's run state: parked ops, tokens due for a poll, and
+/// the timer heap (deadlines and chaos delays), earliest first.
 struct SchedState<I, M> {
     ready: VecDeque<u64>,
     timers: BinaryHeap<Reverse<(Instant, u64)>>,
@@ -1649,51 +1782,17 @@ struct SchedState<I, M> {
     shutdown: bool,
 }
 
-/// A parked asynchronous operation.
+/// A submitted operation with its completion callback.
 enum AsyncOp<I, M> {
-    Send(SendOp<I, M>),
-    Select(SelectOp<I, M>),
-}
-
-/// The nonblocking counterpart of `send_impl`'s two-phase rendezvous.
-struct SendOp<I, M> {
-    from: I,
-    to: I,
-    to_ep: Arc<Endpoint<I, M>>,
-    /// Taken at deposit (the phase 1 → 2 transition).
-    msg: Option<M>,
-    /// Chaos duplicate, redelivered best-effort after pickup.
-    dup: Option<M>,
-    /// The `acks[from]` level that proves pickup; `Some` once deposited.
-    ack_target: Option<u64>,
-    /// Chaos-delay gate: the machine does not run before this (the
-    /// blocking path sleeps here; the nonblocking one arms a timer).
-    ready_at: Option<Instant>,
-    deadline: Option<Instant>,
-    started: Instant,
-    done: Option<SendDone<I>>,
-}
-
-/// The nonblocking counterpart of `select_loop`.
-struct SelectOp<I, M> {
-    me: I,
-    me_ep: Arc<Endpoint<I, M>>,
-    #[allow(clippy::type_complexity)]
-    reprs: Vec<(SelRepr<I, M>, Option<Arc<Endpoint<I, M>>>)>,
-    /// Send-arm targets we registered as a watcher on.
-    watched: Vec<Arc<Endpoint<I, M>>>,
-    /// Watcher-registration token (also the op's scheduler token).
-    wtoken: u64,
-    deadline: Option<Instant>,
-    started: Instant,
-    done: Option<SelectDone<I, M>>,
+    Send(SendOp<I, M>, SendDone<I>),
+    Select(SelectOp<I, M>, SelectDone<I, M>),
 }
 
 /// The scheduler thread: pops runnable op tokens (readiness wakeups
-/// first, then due timers), polls each op's state machine outside the
-/// queue lock, and completes or re-parks it. One thread serves every
-/// in-flight asynchronous operation on the transport; it exits when
-/// the transport is dropped.
+/// first, then due timers), polls each op outside the queue lock, and
+/// completes or re-parks it. One thread serves every in-flight
+/// submitted operation on the transport; it exits when the transport
+/// is dropped.
 fn scheduler_loop<I, M>(transport: Weak<ShardedTransport<I, M>>, sched: Arc<SchedShared<I, M>>)
 where
     I: Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static,
@@ -1704,7 +1803,11 @@ where
             let mut q = sched.queue.lock();
             loop {
                 if q.shutdown {
-                    q.ops.clear();
+                    // Dropped outside the queue lock: a parked selection
+                    // deregisters its watchers under endpoint locks.
+                    let ops = std::mem::take(&mut q.ops);
+                    drop(q);
+                    drop(ops);
                     return;
                 }
                 if let Some(t) = q.ready.pop_front() {
@@ -1725,8 +1828,8 @@ where
             }
         };
         let Some(t) = transport.upgrade() else {
-            sched.queue.lock().ops.clear();
-            return;
+            sched.queue.lock().shutdown = true;
+            continue;
         };
         // A token may outlive its op (stale waiter or timer): skip.
         let Some(op) = sched.queue.lock().ops.remove(&token) else {
@@ -1768,322 +1871,61 @@ where
         sched
     }
 
-    /// Parks a new op with the scheduler: arms its deadline (and
-    /// chaos-delay) timers and queues its first poll.
-    fn enqueue_op(this: &Arc<Self>, token: u64, op: AsyncOp<I, M>, ready_at: Option<Instant>) {
-        let deadline = match &op {
-            AsyncOp::Send(s) => s.deadline,
-            AsyncOp::Select(s) => s.deadline,
+    /// Parks a submitted op with the scheduler under `token`: arms its
+    /// deadline and chaos-delay timers and queues its first poll. The
+    /// ready queue is FIFO, so ops submitted one after another on an
+    /// edge are first polled — and queued on the edge — in that order.
+    fn enqueue_op(this: &Arc<Self>, token: u64, op: AsyncOp<I, M>) {
+        let timers = match &op {
+            AsyncOp::Send(s, _) => [s.ready_at, s.deadline],
+            AsyncOp::Select(s, _) => [None, s.deadline],
         };
         let sched = Self::scheduler(this);
         let mut q = sched.queue.lock();
         q.ops.insert(token, op);
-        if let Some(d) = deadline {
-            q.timers.push(Reverse((d, token)));
+        for at in timers.into_iter().flatten() {
+            q.timers.push(Reverse((at, token)));
         }
-        match ready_at {
-            Some(at) => q.timers.push(Reverse((at, token))),
-            None => q.ready.push_back(token),
-        }
+        q.ready.push_back(token);
         drop(q);
         sched.cond.notify_one();
     }
 
-    /// Polls `op` once; on completion runs its callback (with latency
-    /// recording), otherwise re-parks it.
-    fn drive_op(&self, token: u64, mut op: AsyncOp<I, M>, sched: &Arc<SchedShared<I, M>>) {
-        match op {
-            AsyncOp::Send(ref mut s) => match self.poll_send(token, s, sched) {
-                Some(result) => {
-                    let started = s.started;
-                    let done = s.done.take().expect("send completes once");
-                    self.finish_send(done, started, result);
-                }
-                None => {
-                    sched.queue.lock().ops.insert(token, op);
-                }
+    /// Polls a submitted op once; on completion runs its callback,
+    /// otherwise re-parks it.
+    fn drive_op(&self, token: u64, op: AsyncOp<I, M>, sched: &Arc<SchedShared<I, M>>) {
+        let parked = match op {
+            AsyncOp::Send(mut op, done) => match self.poll_parked(token, &mut op, sched) {
+                Some(result) => return done(result),
+                None => AsyncOp::Send(op, done),
             },
-            AsyncOp::Select(ref mut s) => match self.poll_select(token, s, sched) {
-                Some(result) => {
-                    let wtoken = s.wtoken;
-                    Self::deregister_watchers(wtoken, std::mem::take(&mut s.watched));
-                    let started = s.started;
-                    let done = s.done.take().expect("select completes once");
-                    self.finish_select(done, started, result);
-                }
-                None => {
-                    sched.queue.lock().ops.insert(token, op);
-                }
+            AsyncOp::Select(mut op, done) => match self.poll_parked(token, &mut op, sched) {
+                Some(result) => return done(result),
+                None => AsyncOp::Select(op, done),
             },
-        }
-    }
-
-    /// Completes an asynchronous send: records latency on success, as
-    /// the blocking wrapper does, then fires the callback.
-    fn finish_send(&self, done: SendDone<I>, started: Instant, result: Result<(), ChanError<I>>) {
-        if result.is_ok() {
-            self.latency.record(LatencyOp::Send, started.elapsed());
-        }
-        done(result);
-    }
-
-    /// Completes an asynchronous selection, recording latency on a
-    /// fired arm as the blocking wrapper does.
-    fn finish_select(
-        &self,
-        done: SelectDone<I, M>,
-        started: Instant,
-        result: Result<Outcome<I, M>, ChanError<I>>,
-    ) {
-        if matches!(
-            result,
-            Ok(Outcome::Received { .. }) | Ok(Outcome::Sent { .. })
-        ) {
-            self.latency.record(LatencyOp::Select, started.elapsed());
-        }
-        done(result);
-    }
-
-    /// [`Transport::submit_send`] body. Chaos decisions happen here,
-    /// synchronously at submission, exactly where the blocking path
-    /// makes them — so fault records (and any observer-driven push
-    /// frames) always precede the operation's completion.
-    fn submit_send_native(
-        self: Arc<Self>,
-        from: &I,
-        to: &I,
-        msg: M,
-        deadline: Option<Instant>,
-        done: SendDone<I>,
-    ) {
-        let started = Instant::now();
-        if to == from {
-            return self.finish_send(done, started, Err(ChanError::Myself));
-        }
-        let to_ep = match self.ensure(to) {
-            Ok(ep) => ep,
-            Err(e) => return self.finish_send(done, started, Err(e)),
         };
-        let from_ep = match self.ensure(from) {
-            Ok(ep) => ep,
-            Err(e) => return self.finish_send(done, started, Err(e)),
-        };
-        if self.faults.crashes.load(Ordering::Relaxed) {
-            if let Err(e) = self.chaos_step(from, &from_ep) {
-                return self.finish_send(done, started, Err(e));
-            }
-        }
-        let mut dup: Option<M> = None;
-        let mut ready_at: Option<Instant> = None;
-        if self.faults.msg_faults.load(Ordering::Relaxed) {
-            if let Some(cfg) = self.chaos_cfg() {
-                let has_msg = cfg.plan.has_message_faults();
-                if has_msg || cfg.plan.has_connection_faults() {
-                    let seq = self.chaos_edge_seq(from, &to_ep);
-                    if cfg.plan.decide_partition(from, to, seq) {
-                        self.record_fault(FaultKind::Partition, from, to, seq);
-                    } else if cfg.plan.decide_sever(from, to, seq) {
-                        self.record_fault(FaultKind::Sever, from, to, seq);
-                    }
-                    if has_msg {
-                        let delayed = cfg.plan.decide_delay(from, to, seq);
-                        let dropped = cfg.plan.decide_drop(from, to, seq);
-                        if !dropped && cfg.plan.decide_duplicate(from, to, seq) {
-                            self.record_fault(FaultKind::Duplicate, from, to, seq);
-                            dup = Some((cfg.clone_fn)(&msg));
-                        }
-                        if delayed {
-                            self.record_fault(FaultKind::Delay, from, to, seq);
-                            ready_at = Some(Instant::now() + cfg.plan.delay());
-                        }
-                        if dropped {
-                            self.record_fault(FaultKind::Drop, from, to, seq);
-                            let result = if self.aborted.load(Ordering::SeqCst) {
-                                Err(ChanError::Aborted)
-                            } else {
-                                match life_of(to_ep.life.load(Ordering::SeqCst)) {
-                                    PeerState::Done => Err(ChanError::Terminated(to.clone())),
-                                    _ => Ok(()),
-                                }
-                            };
-                            return self.finish_send(done, started, result);
-                        }
-                    }
-                }
-            }
-        }
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        let op = AsyncOp::Send(SendOp {
-            from: from.clone(),
-            to: to.clone(),
-            to_ep,
-            msg: Some(msg),
-            dup,
-            ack_target: None,
-            ready_at,
-            deadline,
-            started,
-            done: Some(done),
-        });
-        Self::enqueue_op(&self, token, op, ready_at);
+        sched.queue.lock().ops.insert(token, parked);
     }
 
-    /// [`Transport::submit_select`] body: validation, chaos, and
-    /// watcher registration happen synchronously at submission; the
-    /// scan runs on the scheduler.
-    fn submit_select_native(
-        self: Arc<Self>,
-        me: &I,
-        arms: Vec<Arm<I, M>>,
-        deadline: Option<Instant>,
-        done: SelectDone<I, M>,
-    ) {
-        let started = Instant::now();
-        match self.prepare_select(me, arms) {
-            Err(e) => self.finish_select(done, started, Err(e)),
-            Ok((me_ep, reprs)) => {
-                let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-                let watched = Self::register_watchers(token, &me_ep, &reprs);
-                let op = AsyncOp::Select(SelectOp {
-                    me: me.clone(),
-                    me_ep,
-                    reprs,
-                    watched,
-                    wtoken: token,
-                    deadline,
-                    started,
-                    done: Some(done),
-                });
-                Self::enqueue_op(&self, token, op, None);
-            }
-        }
-    }
-
-    /// One poll of an asynchronous send. `Some(result)`: complete.
-    /// `None`: parked (a waiter is registered on the receiver's
-    /// endpoint, or the chaos-delay timer was re-armed).
-    ///
-    /// Mirrors `send_impl`'s two blocking loops phase for phase; the
-    /// only divergence is that waiting registers the op token on the
-    /// receiver's endpoint instead of sleeping on its condvar.
-    fn poll_send(
+    /// The scheduler's driver: one poll; while pending, the op's token
+    /// waits on its home endpoint for the next eventcount bump.
+    fn poll_parked<O: Op<I, M>>(
         &self,
         token: u64,
-        op: &mut SendOp<I, M>,
+        op: &mut O,
         sched: &Arc<SchedShared<I, M>>,
-    ) -> Option<Result<(), ChanError<I>>> {
-        let now = Instant::now();
-        if let Some(at) = op.ready_at {
-            if now < at {
-                sched.queue.lock().timers.push(Reverse((at, token)));
-                return None;
+    ) -> Option<Result<O::Output, ChanError<I>>> {
+        let home = Arc::clone(op.home());
+        let step = op.poll(self, &home);
+        match step {
+            Step::Ready(result) => {
+                op.record_latency(&self.latency, &result);
+                Some(result)
             }
-            op.ready_at = None;
-        }
-        let to_ep = Arc::clone(&op.to_ep);
-        let mut st = to_ep.state.lock();
-        loop {
-            match op.ack_target {
-                None => {
-                    // Phase 1: deposit once the receiver is active with
-                    // a free slot.
-                    if self.aborted.load(Ordering::SeqCst) {
-                        return Some(Err(ChanError::Aborted));
-                    }
-                    match life_of(to_ep.life.load(Ordering::SeqCst)) {
-                        PeerState::Done => {
-                            return Some(Err(ChanError::Terminated(op.to.clone())));
-                        }
-                        PeerState::Active if !st.inbox.contains_key(&op.from) => {
-                            let msg = op.msg.take().expect("message deposited once");
-                            st.inbox.insert(op.from.clone(), msg);
-                            st.bump_signal();
-                            self.activity.fetch_add(1, Ordering::Relaxed);
-                            op.ack_target = Some(st.acks.get(&op.from).copied().unwrap_or(0) + 1);
-                            to_ep.cond.notify_all();
-                            continue;
-                        }
-                        _ => {}
-                    }
-                }
-                Some(target) => {
-                    // Phase 2: await pickup.
-                    if st.acks.get(&op.from).copied().unwrap_or(0) >= target {
-                        // Rendezvous complete; best-effort duplicate.
-                        if let Some(copy) = op.dup.take() {
-                            if !st.inbox.contains_key(&op.from)
-                                && to_ep.life.load(Ordering::SeqCst) == LIFE_ACTIVE
-                            {
-                                st.inbox.insert(op.from.clone(), copy);
-                                st.bump_signal();
-                                self.activity.fetch_add(1, Ordering::Relaxed);
-                                drop(st);
-                                to_ep.cond.notify_all();
-                                return Some(Ok(()));
-                            }
-                        }
-                        return Some(Ok(()));
-                    }
-                    if self.aborted.load(Ordering::SeqCst) {
-                        return Some(Err(ChanError::Aborted));
-                    }
-                    if to_ep.life.load(Ordering::SeqCst) == LIFE_DONE {
-                        // Receiver finished without taking it: reclaim.
-                        st.inbox.remove(&op.from);
-                        return Some(Err(ChanError::Terminated(op.to.clone())));
-                    }
-                }
+            Step::Pending(mut st) => {
+                st.op_waiters.push((token, Arc::clone(sched)));
+                None
             }
-            // Not ready: past the deadline time out (reclaiming an
-            // un-picked-up deposit), else park on the receiver.
-            if op.deadline.is_some_and(|d| now >= d) {
-                if op.ack_target.is_some() {
-                    st.inbox.remove(&op.from);
-                }
-                return Some(Err(ChanError::Timeout));
-            }
-            st.op_waiters.push((token, Arc::clone(sched)));
-            return None;
-        }
-    }
-
-    /// One poll of an asynchronous selection, via the same
-    /// claim/scan/publish helpers the blocking loop uses. `Some`:
-    /// complete. `None`: parked on `me`'s endpoint with offers
-    /// published.
-    fn poll_select(
-        &self,
-        token: u64,
-        op: &mut SelectOp<I, M>,
-        sched: &Arc<SchedShared<I, M>>,
-    ) -> Option<Result<Outcome<I, M>, ChanError<I>>> {
-        loop {
-            let (sig0, claimed) = self.take_claim(&op.me, &op.me_ep, &op.reprs);
-            if let Some(outcome) = claimed {
-                return Some(Ok(outcome));
-            }
-            if self.aborted.load(Ordering::SeqCst) {
-                return Some(Err(ChanError::Aborted));
-            }
-            match self.scan_arms(&op.me, &op.me_ep, &mut op.reprs) {
-                Ok(Some(outcome)) => return Some(Ok(outcome)),
-                Ok(None) => {}
-                Err(e) => return Some(Err(e)),
-            }
-            self.publish_offers(&op.me_ep, &op.reprs);
-            let mut st = op.me_ep.state.lock();
-            if st.signal != sig0 {
-                continue;
-            }
-            if op.deadline.is_some_and(|d| Instant::now() >= d) {
-                // The eventcount is unmoved, so no claim can have
-                // landed: withdraw the offers and time out, exactly as
-                // the blocking loop does on a pure deadline expiry.
-                st.wait = None;
-                return Some(Err(ChanError::Timeout));
-            }
-            st.op_waiters.push((token, Arc::clone(sched)));
-            return None;
         }
     }
 }

@@ -12,7 +12,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use script_chan::{Arm, ChanError, FaultPlan, Outcome, ShardedTransport, Transport};
+use script_chan::{Arm, ChanError, FaultKind, FaultPlan, Outcome, ShardedTransport, Transport};
 
 type T = Arc<ShardedTransport<&'static str, u32>>;
 
@@ -48,16 +48,13 @@ fn recv(
 fn async_send_completes_at_pickup() {
     let t = fresh();
     let (tx, rx) = mpsc::channel();
-    Arc::clone(&t)
-        .submit_send(
-            &"a",
-            &"b",
-            42,
-            far(),
-            Box::new(move |r| tx.send(r).unwrap()),
-        )
-        .ok()
-        .expect("sharded transport supports async submission");
+    Arc::clone(&t).submit_send(
+        &"a",
+        &"b",
+        42,
+        far(),
+        Box::new(move |r| tx.send(r).unwrap()),
+    );
     // The deposit parks: nothing completes until the receiver takes it.
     assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
     assert_eq!(recv(&t, "b", "a", far()).unwrap(), 42);
@@ -74,16 +71,13 @@ fn async_sends_pipeline_in_order() {
     let (tx, rx) = mpsc::channel();
     for v in 0..64u32 {
         let tx = tx.clone();
-        Arc::clone(&t)
-            .submit_send(
-                &"a",
-                &"b",
-                v,
-                far(),
-                Box::new(move |r| tx.send((v, r)).unwrap()),
-            )
-            .ok()
-            .expect("async submission");
+        Arc::clone(&t).submit_send(
+            &"a",
+            &"b",
+            v,
+            far(),
+            Box::new(move |r| tx.send((v, r)).unwrap()),
+        );
     }
     for v in 0..64u32 {
         assert_eq!(recv(&t, "b", "a", far()).unwrap(), v);
@@ -104,15 +98,12 @@ fn async_sends_pipeline_in_order() {
 fn async_select_receives() {
     let t = fresh();
     let (tx, rx) = mpsc::channel();
-    Arc::clone(&t)
-        .submit_select(
-            &"b",
-            vec![Arm::recv_any()],
-            far(),
-            Box::new(move |r| tx.send(r).unwrap()),
-        )
-        .ok()
-        .expect("async submission");
+    Arc::clone(&t).submit_select(
+        &"b",
+        vec![Arm::recv_any()],
+        far(),
+        Box::new(move |r| tx.send(r).unwrap()),
+    );
     assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
     t.send(&"a", &"b", 9, far()).unwrap();
     match rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap() {
@@ -130,15 +121,12 @@ fn async_select_receives() {
 fn async_select_send_arm_claims() {
     let t = fresh();
     let (tx, rx) = mpsc::channel();
-    Arc::clone(&t)
-        .submit_select(
-            &"a",
-            vec![Arm::send("b", 5)],
-            far(),
-            Box::new(move |r| tx.send(r).unwrap()),
-        )
-        .ok()
-        .expect("async submission");
+    Arc::clone(&t).submit_select(
+        &"a",
+        vec![Arm::send("b", 5)],
+        far(),
+        Box::new(move |r| tx.send(r).unwrap()),
+    );
     assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
     assert_eq!(recv(&t, "b", "a", far()).unwrap(), 5);
     match rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap() {
@@ -153,16 +141,13 @@ fn async_select_send_arm_claims() {
 fn async_send_timeout_reclaims_deposit() {
     let t = fresh();
     let (tx, rx) = mpsc::channel();
-    Arc::clone(&t)
-        .submit_send(
-            &"a",
-            &"b",
-            1,
-            Some(Instant::now() + Duration::from_millis(50)),
-            Box::new(move |r| tx.send(r).unwrap()),
-        )
-        .ok()
-        .expect("async submission");
+    Arc::clone(&t).submit_send(
+        &"a",
+        &"b",
+        1,
+        Some(Instant::now() + Duration::from_millis(50)),
+        Box::new(move |r| tx.send(r).unwrap()),
+    );
     match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
         Err(ChanError::Timeout) => {}
         other => panic!("expected timeout, got {other:?}"),
@@ -179,15 +164,12 @@ fn async_send_timeout_reclaims_deposit() {
 fn async_select_timeout() {
     let t = fresh();
     let (tx, rx) = mpsc::channel();
-    Arc::clone(&t)
-        .submit_select(
-            &"b",
-            vec![Arm::recv_any()],
-            Some(Instant::now() + Duration::from_millis(50)),
-            Box::new(move |r| tx.send(r).unwrap()),
-        )
-        .ok()
-        .expect("async submission");
+    Arc::clone(&t).submit_select(
+        &"b",
+        vec![Arm::recv_any()],
+        Some(Instant::now() + Duration::from_millis(50)),
+        Box::new(move |r| tx.send(r).unwrap()),
+    );
     match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
         Err(ChanError::Timeout) => {}
         other => panic!("expected timeout, got {other:?}"),
@@ -208,37 +190,28 @@ fn async_send_error_paths() {
     t.finish("c");
 
     let (tx, rx) = mpsc::channel();
-    Arc::clone(&t)
-        .submit_send(&"a", &"c", 0, far(), {
-            let tx = tx.clone();
-            Box::new(move |r| tx.send(r).unwrap())
-        })
-        .ok()
-        .unwrap();
+    Arc::clone(&t).submit_send(&"a", &"c", 0, far(), {
+        let tx = tx.clone();
+        Box::new(move |r| tx.send(r).unwrap())
+    });
     match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
         Err(ChanError::Terminated(who)) => assert_eq!(who, "c"),
         other => panic!("expected Terminated, got {other:?}"),
     }
 
-    Arc::clone(&t)
-        .submit_send(&"a", &"a", 0, far(), {
-            let tx = tx.clone();
-            Box::new(move |r| tx.send(r).unwrap())
-        })
-        .ok()
-        .unwrap();
+    Arc::clone(&t).submit_send(&"a", &"a", 0, far(), {
+        let tx = tx.clone();
+        Box::new(move |r| tx.send(r).unwrap())
+    });
     assert!(matches!(
         rx.recv_timeout(Duration::from_secs(5)).unwrap(),
         Err(ChanError::Myself)
     ));
 
-    Arc::clone(&t)
-        .submit_send(&"a", &"nobody", 0, far(), {
-            let tx = tx.clone();
-            Box::new(move |r| tx.send(r).unwrap())
-        })
-        .ok()
-        .unwrap();
+    Arc::clone(&t).submit_send(&"a", &"nobody", 0, far(), {
+        let tx = tx.clone();
+        Box::new(move |r| tx.send(r).unwrap())
+    });
     match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
         Err(ChanError::Unknown(who)) => assert_eq!(who, "nobody"),
         other => panic!("expected Unknown, got {other:?}"),
@@ -251,10 +224,7 @@ fn async_send_error_paths() {
 fn async_send_peer_finishes_mid_flight() {
     let t = fresh();
     let (tx, rx) = mpsc::channel();
-    Arc::clone(&t)
-        .submit_send(&"a", &"b", 7, far(), Box::new(move |r| tx.send(r).unwrap()))
-        .ok()
-        .unwrap();
+    Arc::clone(&t).submit_send(&"a", &"b", 7, far(), Box::new(move |r| tx.send(r).unwrap()));
     assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
     t.finish("b");
     match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
@@ -263,9 +233,70 @@ fn async_send_peer_finishes_mid_flight() {
     }
 }
 
+/// Head-of-line rule: a send queued behind its edge's head that fails
+/// — by timing out, or because its receiver finished — leaves the
+/// queue and is never delivered; the send behind it deposits instead.
+#[test]
+fn failed_queued_send_is_never_delivered() {
+    let t = fresh();
+    let (tx, rx) = mpsc::channel();
+    let submit = |to: &'static str, v: u32, deadline: Option<Instant>| {
+        let tx = tx.clone();
+        Arc::clone(&t).submit_send(
+            &"a",
+            &to,
+            v,
+            deadline,
+            Box::new(move |r| tx.send((v, r)).unwrap()),
+        );
+    };
+
+    // The head deposits and awaits pickup; the send queued behind it
+    // expires while it waits.
+    submit("b", 1, far());
+    submit("b", 2, Some(Instant::now() + Duration::from_millis(50)));
+    submit("b", 3, far());
+    assert_eq!(
+        rx.recv_timeout(Duration::from_secs(5)).unwrap(),
+        (2, Err(ChanError::Timeout))
+    );
+    assert_eq!(recv(&t, "b", "a", far()).unwrap(), 1);
+    assert_eq!(recv(&t, "b", "a", far()).unwrap(), 3);
+    let mut rest: Vec<_> = (0..2)
+        .map(|_| rx.recv_timeout(Duration::from_secs(5)).unwrap())
+        .collect();
+    rest.sort_by_key(|(v, _)| *v);
+    assert_eq!(rest, vec![(1, Ok(())), (3, Ok(()))]);
+
+    // The receiver finishes with a deposit outstanding and a send
+    // queued behind it: both fail, and nothing is left deposited.
+    submit("c", 4, far());
+    submit("c", 5, far());
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !t.has_pending_from(&"c", &"a") {
+        assert!(Instant::now() < deadline, "the head never deposited");
+        std::thread::yield_now();
+    }
+    t.finish("c");
+    let mut failed: Vec<_> = (0..2)
+        .map(|_| rx.recv_timeout(Duration::from_secs(5)).unwrap())
+        .collect();
+    failed.sort_by_key(|(v, _)| *v);
+    assert_eq!(
+        failed,
+        vec![
+            (4, Err(ChanError::Terminated("c"))),
+            (5, Err(ChanError::Terminated("c")))
+        ]
+    );
+    assert!(!t.has_pending_from(&"c", &"a"));
+}
+
 /// The same seeded fault plan produces the same chaos log whether ops
 /// go through the blocking or the asynchronous path — decisions are a
-/// pure function of (seed, edge, sequence), not of scheduling.
+/// pure function of (seed, edge, sequence), not of scheduling. The plan
+/// mixes connection faults (recorded, not enacted, in-process) with
+/// message faults, so one decision site serves both.
 #[test]
 fn async_chaos_log_matches_blocking() {
     let logs: Vec<Vec<script_chan::FaultRecord<&'static str>>> = [false, true]
@@ -276,16 +307,21 @@ fn async_chaos_log_matches_blocking() {
                 FaultPlan::new(0xC0FFEE)
                     .with_drop(0.2)
                     .with_delay(0.2, Duration::from_millis(5))
-                    .with_duplicate(0.2),
+                    .with_duplicate(0.2)
+                    .with_sever(0.2)
+                    .with_partition(0.1, Duration::from_millis(10)),
                 Clone::clone,
             );
             for v in 0..32u32 {
                 let (tx, rx) = mpsc::channel();
                 if use_async {
-                    Arc::clone(&t)
-                        .submit_send(&"a", &"b", v, far(), Box::new(move |r| tx.send(r).unwrap()))
-                        .ok()
-                        .unwrap();
+                    Arc::clone(&t).submit_send(
+                        &"a",
+                        &"b",
+                        v,
+                        far(),
+                        Box::new(move |r| tx.send(r).unwrap()),
+                    );
                 } else {
                     let t2 = Arc::clone(&t);
                     std::thread::spawn(move || {
@@ -326,6 +362,12 @@ fn async_chaos_log_matches_blocking() {
             t.fault_log()
         })
         .collect();
+    for kind in [FaultKind::Sever, FaultKind::Partition] {
+        assert!(
+            logs[0].iter().any(|r| r.kind == kind),
+            "the plan must exercise {kind:?}"
+        );
+    }
     assert_eq!(logs[0], logs[1], "chaos log must be schedule-independent");
 }
 
@@ -340,33 +382,27 @@ fn async_ops_share_one_scheduler_thread() {
     let n = 128usize;
     for i in 0..n {
         let c = Arc::clone(&completions);
-        Arc::clone(&t)
-            .submit_send(
-                &"a",
-                &"b",
-                i as u32,
-                far(),
-                Box::new(move |r| {
-                    r.unwrap();
-                    c.fetch_add(1, Ordering::SeqCst);
-                }),
-            )
-            .ok()
-            .unwrap();
+        Arc::clone(&t).submit_send(
+            &"a",
+            &"b",
+            i as u32,
+            far(),
+            Box::new(move |r| {
+                r.unwrap();
+                c.fetch_add(1, Ordering::SeqCst);
+            }),
+        );
     }
     for j in 0..64 {
         let c = Arc::clone(&completions);
-        Arc::clone(&t)
-            .submit_select(
-                &"c",
-                vec![Arm::recv_from("b"), Arm::watch("b")],
-                Some(Instant::now() + Duration::from_millis(200 + j)),
-                Box::new(move |_| {
-                    c.fetch_add(1, Ordering::SeqCst);
-                }),
-            )
-            .ok()
-            .unwrap();
+        Arc::clone(&t).submit_select(
+            &"c",
+            vec![Arm::recv_from("b"), Arm::watch("b")],
+            Some(Instant::now() + Duration::from_millis(200 + j)),
+            Box::new(move |_| {
+                c.fetch_add(1, Ordering::SeqCst);
+            }),
+        );
     }
     let during = count_threads();
     assert!(
@@ -397,18 +433,15 @@ fn count_threads() -> usize {
 fn drop_with_parked_ops_is_clean() {
     let t = fresh();
     let (tx, rx) = mpsc::channel::<Result<(), ChanError<&'static str>>>();
-    Arc::clone(&t)
-        .submit_send(
-            &"a",
-            &"b",
-            1,
-            None,
-            Box::new(move |r| {
-                let _ = tx.send(r);
-            }),
-        )
-        .ok()
-        .unwrap();
+    Arc::clone(&t).submit_send(
+        &"a",
+        &"b",
+        1,
+        None,
+        Box::new(move |r| {
+            let _ = tx.send(r);
+        }),
+    );
     std::thread::sleep(Duration::from_millis(50));
     drop(t);
     // The callback is dropped unfired (caller sees a disconnect), which

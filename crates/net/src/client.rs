@@ -72,16 +72,16 @@ use std::hash::Hash;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{mpsc, Arc, Weak};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use script_chan::{
     Arm, ChanError, FaultObserver, FaultPlan, FaultRecord, LabelFn, LatencyHooks, LatencyObserver,
-    LatencyOp, LatencySample, Outcome, PeerState, RendezvousObserver, RendezvousRecord,
-    SessionEvent, SessionObserver, Transport,
+    LatencyOp, LatencySample, Outcome, PeerState, RendezvousObserver, RendezvousRecord, SelectDone,
+    SendDone, SessionEvent, SessionObserver, Transport,
 };
 use script_core::RetryPolicy;
 
@@ -136,54 +136,27 @@ impl DialPlan {
     }
 }
 
-/// Response slot for one in-flight request.
-struct Slot<I, M> {
-    state: Mutex<SlotState<I, M>>,
-    cond: Condvar,
-}
+/// The completion of one request, called exactly once: with the hub's
+/// answer, or with `None` when the request will never be answered
+/// (session death, or a fast query's connection dropped).
+type Completion<I, M> = Box<dyn FnOnce(Option<Resp<I, M>>) + Send>;
 
-enum SlotState<I, M> {
-    Waiting,
-    Filled(Resp<I, M>),
-    /// The request will never be answered (session death, or a fast
-    /// query's connection dropped).
-    Lost,
-}
-
-impl<I, M> Slot<I, M> {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new(SlotState::Waiting),
-            cond: Condvar::new(),
-        }
-    }
-
-    fn fill(&self, value: SlotState<I, M>) {
-        let mut st = self.state.lock();
-        if matches!(*st, SlotState::Waiting) {
-            *st = value;
-            self.cond.notify_all();
-        }
-    }
-
-    /// Blocks until filled; `None` means the request is lost.
-    fn wait(&self) -> Option<Resp<I, M>> {
-        let mut st = self.state.lock();
-        loop {
-            match std::mem::replace(&mut *st, SlotState::Waiting) {
-                SlotState::Waiting => self.cond.wait(&mut st),
-                SlotState::Filled(resp) => return Some(resp),
-                SlotState::Lost => return None,
-            }
-        }
-    }
+/// Runs `start` with a completion that hands its value over to this
+/// thread, then blocks until it does: every blocking call is its
+/// submitted form, awaited.
+fn wait_for<T: Send + 'static>(start: impl FnOnce(Box<dyn FnOnce(T) + Send>)) -> T {
+    let (tx, rx) = mpsc::sync_channel(1);
+    start(Box::new(move |v| {
+        let _ = tx.send(v);
+    }));
+    rx.recv().expect("every completion runs exactly once")
 }
 
 /// One queued request: the encoded frame is retained so a reconnect can
 /// replay it verbatim (same request id → hub-side replay cache dedups).
 struct PendingEntry<I, M> {
     payload: Vec<u8>,
-    slot: Arc<Slot<I, M>>,
+    done: Completion<I, M>,
     /// Fast queries are failed on connection loss instead of queued for
     /// replay — their callers want a degraded answer *now*.
     fast: bool,
@@ -340,7 +313,7 @@ impl<I, M> Shared<I, M> {
         let drained: Vec<PendingEntry<I, M>> =
             self.pending.lock().drain().map(|(_, e)| e).collect();
         for e in drained {
-            e.slot.fill(SlotState::Lost);
+            (e.done)(None);
         }
     }
 
@@ -470,136 +443,112 @@ where
         (req_id, payload)
     }
 
-    /// Writes one `(req_id, req)` frame directly to a handshake-time
-    /// stream (no connection object exists yet).
-    fn write_req(&self, w: &mut TcpStream, req: &Req<I, M>) -> Option<u64> {
+    /// One handshake-time RPC, straight on the stream (no connection
+    /// object exists yet): writes the request, then reads frames until
+    /// its answer arrives. Events and answers to replayed requests that
+    /// completed hub-side during the outage are delivered along the way.
+    fn handshake_call(
+        &self,
+        w: &mut TcpStream,
+        rd: &mut TcpStream,
+        req: &Req<I, M>,
+    ) -> Option<Resp<I, M>> {
         let (req_id, payload) = self.encode_req(req);
         crate::frame::write_frame(w, &payload).ok()?;
         self.bytes_out
             .fetch_add(payload.len() as u64 + 4, Ordering::Relaxed);
-        Some(req_id)
-    }
-
-    /// Reads frames until the answer for `want` arrives (used during
-    /// the handshake, before the driver owns the stream). Events and
-    /// answers to replayed requests that completed hub-side during the
-    /// outage are delivered along the way.
-    fn await_resp(&self, rd: &mut TcpStream, want: u64) -> Option<Resp<I, M>> {
         loop {
             let frame = read_frame(rd).ok()??;
-            self.bytes_in
-                .fetch_add(frame.len() as u64 + 4, Ordering::Relaxed);
-            let mut r = Reader::new(&frame);
-            let req_id = u64::decode(&mut r).ok()?;
-            if req_id == EVENT_REQ_ID {
-                if let Ok(ev) = Event::<I>::decode(&mut r) {
-                    self.process_event(&ev);
-                }
-                continue;
-            }
-            let resp = Resp::<I, M>::decode(&mut r).ok()?;
-            if let Resp::Session { lease_ms, .. } = &resp {
-                if *lease_ms > 0 {
-                    self.lease_ms.store(*lease_ms, Ordering::SeqCst);
-                }
-            }
-            if req_id == want {
+            if let Some(resp) = self.on_frame(&frame, Some(req_id)).ok()? {
                 return Some(resp);
             }
-            let entry = self.pending.lock().remove(&req_id);
-            if let Some(e) = entry {
-                e.slot.fill(SlotState::Filled(resp));
-            }
         }
     }
 
-    /// One queued ("durable") RPC. The request survives connection loss:
-    /// it is replayed on reconnect and answered at most once by the hub
-    /// (replay-cache idempotence), so there is no separate retry loop —
-    /// session replay *is* the retry path. `None` only on session death.
+    /// One durable RPC (see [`Self::submit`]), awaited.
     fn call(self: &Arc<Self>, req: &Req<I, M>) -> Option<Resp<I, M>> {
-        if self.is_dead() {
-            return None;
-        }
-        let (req_id, payload) = self.encode_req(req);
-        let slot = Arc::new(Slot::new());
-        self.pending.lock().insert(
-            req_id,
-            PendingEntry {
-                payload: payload.clone(),
-                slot: Arc::clone(&slot),
-                fast: false,
-            },
-        );
-        // Death may have drained `pending` between the check above and
-        // the insert; re-checking after the insert closes the race.
-        if self.is_dead() {
-            self.pending.lock().remove(&req_id);
-            return None;
-        }
-        match self.ensure_conn() {
-            Some(conn) => {
-                // A failed write is not a failed request: the entry
-                // stays queued, and shutting the socket kicks the
-                // driver into its redial-and-replay path.
-                if !conn.tx.send_payload(&payload) {
-                    conn.alive.store(false, Ordering::SeqCst);
-                    let _ = conn.stream.shutdown(Shutdown::Both);
-                }
-            }
-            None => {
-                self.pending.lock().remove(&req_id);
-                return None;
-            }
-        }
-        slot.wait()
+        wait_for(|done| self.submit(req, false, done))
     }
 
-    /// One non-queued RPC for cheap lifecycle reads: never blocks on a
-    /// redial (a locked dial = [`FastReply::Blip`]) and never replays.
+    /// One fast RPC (see [`Self::submit`]), awaited: a lost answer is a
+    /// [`FastReply::Blip`] while the session lives.
     fn fast_call(self: &Arc<Self>, req: &Req<I, M>) -> FastReply<I, M> {
-        if self.is_dead() {
-            return FastReply::Dead;
-        }
-        let conn = {
-            let Some(guard) = self.state.try_lock() else {
-                return FastReply::Blip;
-            };
-            match guard.as_ref() {
-                Some(c) if c.alive.load(Ordering::SeqCst) => Arc::clone(c),
-                _ => return FastReply::Blip,
-            }
-        };
-        let (req_id, payload) = self.encode_req(req);
-        let slot = Arc::new(Slot::new());
-        self.pending.lock().insert(
-            req_id,
-            PendingEntry {
-                payload: payload.clone(),
-                slot: Arc::clone(&slot),
-                fast: true,
-            },
-        );
-        // The driver drains fast entries *after* flipping `alive`;
-        // re-checking after the insert guarantees ours is seen.
-        if !conn.alive.load(Ordering::SeqCst) || self.is_dead() {
-            self.pending.lock().remove(&req_id);
-            return if self.is_dead() {
-                FastReply::Dead
-            } else {
-                FastReply::Blip
-            };
-        }
-        if !conn.tx.send_payload(&payload) {
-            self.pending.lock().remove(&req_id);
-            conn.alive.store(false, Ordering::SeqCst);
-            let _ = conn.stream.shutdown(Shutdown::Both);
-            return FastReply::Blip;
-        }
-        match slot.wait() {
+        match wait_for(|done| self.submit(req, true, done)) {
             Some(resp) => FastReply::Resp(resp),
             None if self.is_dead() => FastReply::Dead,
             None => FastReply::Blip,
+        }
+    }
+
+    /// Queues one RPC; `done` gets the answer, or `None` when the
+    /// request is lost. It runs on the driver thread — so it must not
+    /// wait on this transport — or on the caller's when the request
+    /// fails before it is written.
+    ///
+    /// A durable request survives connection loss: it is replayed on
+    /// reconnect and answered at most once by the hub (replay-cache
+    /// idempotence), so there is no separate retry loop — session
+    /// replay *is* the retry path — and it is lost only on session
+    /// death. A `fast` one (a cheap lifecycle read) never waits on a
+    /// redial and is never replayed: it is lost whenever no live
+    /// connection carries it.
+    fn submit(self: &Arc<Self>, req: &Req<I, M>, fast: bool, done: Completion<I, M>) {
+        if self.is_dead() {
+            return done(None);
+        }
+        let live = if fast {
+            // A dial in progress holds the lock: that is a blip too.
+            match self
+                .state
+                .try_lock()
+                .and_then(|g| g.as_ref().map(Arc::clone))
+            {
+                Some(c) if c.alive.load(Ordering::SeqCst) => Some(c),
+                _ => return done(None),
+            }
+        } else {
+            None
+        };
+        let (req_id, payload) = self.encode_req(req);
+        self.pending.lock().insert(
+            req_id,
+            PendingEntry {
+                payload: payload.clone(),
+                done,
+                fast,
+            },
+        );
+        // Death — or, for a fast call, the driver draining fast entries
+        // after flipping `alive` — may have emptied `pending` between
+        // the checks above and the insert; re-checking closes the race.
+        if self.is_dead()
+            || live
+                .as_ref()
+                .is_some_and(|c| !c.alive.load(Ordering::SeqCst))
+        {
+            return self.fail_pending(req_id);
+        }
+        let Some(conn) = live.or_else(|| self.ensure_conn()) else {
+            return self.fail_pending(req_id);
+        };
+        if !conn.tx.send_payload(&payload) {
+            // A failed write fails a fast call; a durable request stays
+            // queued, and shutting the socket kicks the driver into its
+            // redial-and-replay path.
+            if fast {
+                self.fail_pending(req_id);
+            }
+            conn.alive.store(false, Ordering::SeqCst);
+            let _ = conn.stream.shutdown(Shutdown::Both);
+        }
+    }
+
+    /// Completes `req_id` as lost, unless an answer or a death already
+    /// completed it.
+    fn fail_pending(&self, req_id: u64) {
+        let entry = self.pending.lock().remove(&req_id);
+        if let Some(e) = entry {
+            (e.done)(None);
         }
     }
 
@@ -713,10 +662,7 @@ where
         } else {
             Req::HelloResume(sid)
         };
-        let Some(hello_id) = self.write_req(&mut w, &hello) else {
-            return Handshake::Failed;
-        };
-        match self.await_resp(&mut rd, hello_id) {
+        match self.handshake_call(&mut w, &mut rd, &hello) {
             Some(Resp::Session { session, lease_ms }) => {
                 self.session.store(session, Ordering::SeqCst);
                 if lease_ms > 0 {
@@ -738,10 +684,10 @@ where
         // brand-new session needs them installed.
         if sid == 0 {
             for id in self.bound.lock().clone() {
-                let Some(bind_id) = self.write_req(&mut w, &Req::Bind(id)) else {
-                    return Handshake::Failed;
-                };
-                if self.await_resp(&mut rd, bind_id).is_none() {
+                if self
+                    .handshake_call(&mut w, &mut rd, &Req::Bind(id))
+                    .is_none()
+                {
                     return Handshake::Failed;
                 }
             }
@@ -753,10 +699,7 @@ where
             let sub = Req::SubscribeFrom {
                 seq: self.last_event_seq.load(Ordering::SeqCst),
             };
-            let Some(sub_id) = self.write_req(&mut w, &sub) else {
-                return Handshake::Failed;
-            };
-            if self.await_resp(&mut rd, sub_id).is_none() {
+            if self.handshake_call(&mut w, &mut rd, &sub).is_none() {
                 return Handshake::Failed;
             }
         }
@@ -880,7 +823,7 @@ where
             loop {
                 match dec.next_frame() {
                     Ok(Some(frame)) => {
-                        if !self.on_frame(&frame) {
+                        if self.on_frame(&frame, None).is_err() {
                             break 'conn;
                         }
                     }
@@ -906,7 +849,7 @@ where
             ids.into_iter().filter_map(|id| p.remove(&id)).collect()
         };
         for e in drained {
-            e.slot.fill(SlotState::Lost);
+            (e.done)(None);
         }
         if !self.is_dead() && !self.closed.load(Ordering::SeqCst) {
             // Only the *current* connection's server announces the
@@ -927,16 +870,15 @@ where
         }
     }
 
-    /// Routes one inbound frame: an event push or a pending answer.
-    /// Returns `false` on protocol corruption (the connection is torn
+    /// Routes one inbound frame: an event push, or an answer — handed
+    /// back when it answers `want`, else to its pending request's
+    /// completion. `Err` on protocol corruption (the connection is torn
     /// down).
-    fn on_frame(&self, frame: &[u8]) -> bool {
+    fn on_frame(&self, frame: &[u8], want: Option<u64>) -> Result<Option<Resp<I, M>>, ()> {
         self.bytes_in
             .fetch_add(frame.len() as u64 + 4, Ordering::Relaxed);
         let mut r = Reader::new(frame);
-        let Ok(req_id) = u64::decode(&mut r) else {
-            return false;
-        };
+        let req_id = u64::decode(&mut r).map_err(drop)?;
         if req_id == EVENT_REQ_ID {
             // Unsolicited push: a tagged telemetry event. Frames with a
             // tag this build does not understand are skipped so newer
@@ -944,11 +886,9 @@ where
             if let Ok(ev) = Event::<I>::decode(&mut r) {
                 self.process_event(&ev);
             }
-            return true;
+            return Ok(None);
         }
-        let Ok(resp) = Resp::<I, M>::decode(&mut r) else {
-            return false;
-        };
+        let resp = Resp::<I, M>::decode(&mut r).map_err(drop)?;
         // Any session answer — including the driver's unmatched
         // heartbeat acks — renews the lease view.
         if let Resp::Session { lease_ms, .. } = &resp {
@@ -956,11 +896,14 @@ where
                 self.lease_ms.store(*lease_ms, Ordering::SeqCst);
             }
         }
+        if want == Some(req_id) {
+            return Ok(Some(resp));
+        }
         let entry = self.pending.lock().remove(&req_id);
         if let Some(e) = entry {
-            e.slot.fill(SlotState::Filled(resp));
+            (e.done)(Some(resp));
         }
-        true
+        Ok(None)
     }
 }
 
@@ -971,7 +914,8 @@ pub struct SocketTransport<I, M> {
     /// Client-side latency measurement: the RPC round trip *includes*
     /// the hub-side rendezvous wait, so hub time is attributed to the
     /// performance whose operation paid for it — no wire changes.
-    latency: LatencyHooks,
+    /// Shared with the completions of in-flight sends and selections.
+    latency: Arc<LatencyHooks>,
 }
 
 impl<I, M> fmt::Debug for SocketTransport<I, M> {
@@ -1028,7 +972,7 @@ where
                 driver_started: AtomicBool::new(false),
                 reader_slot: Mutex::new(None),
             }),
-            latency: LatencyHooks::default(),
+            latency: Arc::default(),
         }
     }
 
@@ -1306,26 +1250,7 @@ where
         msg: M,
         deadline: Option<Instant>,
     ) -> Result<(), ChanError<I>> {
-        let req = Req::Send {
-            from: from.clone(),
-            to: to.clone(),
-            msg,
-            // The budget is computed once; a replay reuses the original
-            // frame, so hub-side the clock restarts on reconnect.
-            timeout_ms: timeout_ms_of(deadline),
-        };
-        let start = Instant::now();
-        let result = match self.shared.call(&req) {
-            Some(Resp::Unit) => Ok(()),
-            Some(Resp::ChanErr(e)) => Err(e),
-            // Session death = the receiving side is gone, the same
-            // error a crashed peer produces.
-            _ => Err(ChanError::Terminated(to.clone())),
-        };
-        if result.is_ok() {
-            self.latency.record(LatencyOp::Send, start.elapsed());
-        }
-        result
+        wait_for(|done| self.send_with(from, to, msg, deadline, done))
     }
 
     fn try_recv(&self, me: &I, from: &I) -> Result<Option<M>, ChanError<I>> {
@@ -1350,8 +1275,80 @@ where
         arms: Vec<Arm<I, M>>,
         deadline: Option<Instant>,
     ) -> Result<Outcome<I, M>, ChanError<I>> {
+        wait_for(|done| self.select_with(me, arms, deadline, done))
+    }
+
+    fn submit_send(
+        self: Arc<Self>,
+        from: &I,
+        to: &I,
+        msg: M,
+        deadline: Option<Instant>,
+        done: SendDone<I>,
+    ) {
+        self.send_with(from, to, msg, deadline, done);
+    }
+
+    fn submit_select(
+        self: Arc<Self>,
+        me: &I,
+        arms: Vec<Arm<I, M>>,
+        deadline: Option<Instant>,
+        done: SelectDone<I, M>,
+    ) {
+        self.select_with(me, arms, deadline, done);
+    }
+}
+
+impl<I, M> SocketTransport<I, M>
+where
+    I: Wire + Clone + Eq + Hash + fmt::Debug + Send + Sync + 'static,
+    M: Wire + Send + Sync + 'static,
+{
+    /// Queues a `Send` RPC; `done` gets the blocking send's result when
+    /// the hub answers — which it does only once the rendezvous fires.
+    fn send_with(&self, from: &I, to: &I, msg: M, deadline: Option<Instant>, done: SendDone<I>) {
+        let req = Req::Send {
+            from: from.clone(),
+            to: to.clone(),
+            msg,
+            // The budget is computed once; a replay reuses the original
+            // frame, so hub-side the clock restarts on reconnect.
+            timeout_ms: timeout_ms_of(deadline),
+        };
+        let to = to.clone();
+        let latency = Arc::clone(&self.latency);
+        let start = Instant::now();
+        self.shared.submit(
+            &req,
+            false,
+            Box::new(move |resp| {
+                let result = match resp {
+                    Some(Resp::Unit) => Ok(()),
+                    Some(Resp::ChanErr(e)) => Err(e),
+                    // Session death = the receiving side is gone, the
+                    // same error a crashed peer produces.
+                    _ => Err(ChanError::Terminated(to)),
+                };
+                if result.is_ok() {
+                    latency.record(LatencyOp::Send, start.elapsed());
+                }
+                done(result);
+            }),
+        );
+    }
+
+    /// Queues a `Select` RPC; `done` gets the blocking selection's
+    /// result.
+    fn select_with(
+        &self,
+        me: &I,
+        arms: Vec<Arm<I, M>>,
+        deadline: Option<Instant>,
+        done: SelectDone<I, M>,
+    ) {
         if arms.is_empty() {
-            return Err(ChanError::EmptySelect);
+            return done(Err(ChanError::EmptySelect));
         }
         let loss = match single_named_peer(&arms) {
             Some(p) => ChanError::Terminated(p),
@@ -1362,19 +1359,26 @@ where
             arms,
             timeout_ms: timeout_ms_of(deadline),
         };
+        let latency = Arc::clone(&self.latency);
         let start = Instant::now();
-        let result = match self.shared.call(&req) {
-            Some(Resp::Selected(outcome)) => Ok(outcome),
-            Some(Resp::ChanErr(e)) => Err(e),
-            _ => Err(loss),
-        };
-        if matches!(
-            result,
-            Ok(Outcome::Received { .. }) | Ok(Outcome::Sent { .. })
-        ) {
-            self.latency.record(LatencyOp::Select, start.elapsed());
-        }
-        result
+        self.shared.submit(
+            &req,
+            false,
+            Box::new(move |resp| {
+                let result = match resp {
+                    Some(Resp::Selected(outcome)) => Ok(outcome),
+                    Some(Resp::ChanErr(e)) => Err(e),
+                    _ => Err(loss),
+                };
+                if matches!(
+                    result,
+                    Ok(Outcome::Received { .. }) | Ok(Outcome::Sent { .. })
+                ) {
+                    latency.record(LatencyOp::Select, start.elapsed());
+                }
+                done(result);
+            }),
+        );
     }
 }
 

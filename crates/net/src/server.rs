@@ -27,10 +27,9 @@
 //! [`Transport::submit_select`]) with a completion callback that
 //! encodes the response into the owning connection's output buffer and
 //! wakes the reactor to flush it — the hub answers out of order, as
-//! many requests deep as the spokes care to pipeline. An inner
-//! transport that does not support submission (the default trait
-//! methods decline) falls back to one worker thread per operation,
-//! counted in [`TransportServer::worker_threads`].
+//! many requests deep as the spokes care to pipeline. Submission is a
+//! required part of the [`Transport`] contract, so no operation ever
+//! needs a thread of its own.
 //!
 //! **Sessions.** A spoke that opens with [`Req::HelloNew`] gets a
 //! session id and a lease. The session — its bound ids, its replay
@@ -185,9 +184,6 @@ struct ServerShared<I, M> {
     next_session: AtomicU64,
     lease: Duration,
     waker: Arc<Waker>,
-    /// Live fallback worker threads (inner transports without
-    /// submission support only).
-    workers: AtomicU64,
 }
 
 /// A TCP hub exposing an inner [`Transport`] to remote
@@ -250,7 +246,6 @@ where
             next_session: AtomicU64::new(0),
             lease,
             waker,
-            workers: AtomicU64::new(0),
         });
         // Weak: the inner transport must not keep the hub alive through
         // its own observer slot.
@@ -273,8 +268,10 @@ where
             no_label::<M>,
         );
         let reactor_shared = Arc::clone(&shared);
+        // Named after the port (Linux keeps 15 bytes of a thread name),
+        // so a process running several hubs can tell their reactors apart.
         thread::Builder::new()
-            .name("script-net-hub".into())
+            .name(format!("net-hub-{}", addr.port()))
             .spawn(move || Reactor::new(reactor_shared, listener).run())
             .expect("spawn hub reactor");
         Ok(Self { shared, addr })
@@ -313,12 +310,12 @@ where
         );
     }
 
-    /// Live fallback worker threads: zero whenever the inner transport
-    /// supports asynchronous submission (as
-    /// [`ShardedTransport`](script_chan::ShardedTransport) does), in
-    /// which case the hub's only thread is its reactor.
+    /// Per-operation worker threads the hub runs: always 0. Every
+    /// inner transport completes blocking operations through
+    /// [`Transport::submit_send`]/[`Transport::submit_select`], so the
+    /// hub's only thread is its reactor.
     pub fn worker_threads(&self) -> u64 {
-        self.shared.workers.load(Ordering::SeqCst)
+        0
     }
 
     /// Stops accepting, notifies every spoke with [`Event::Closing`],
@@ -349,9 +346,7 @@ impl<I, M> ServerShared<I, M> {
         // Best-effort shutdown notice: the reactor flushes these before
         // it closes the sockets, so spokes fail fast instead of
         // entering their redial loops.
-        let mut closing = Vec::new();
-        EVENT_REQ_ID.encode(&mut closing);
-        Event::<u64>::Closing.encode(&mut closing);
+        let closing = encode_frame(EVENT_REQ_ID, &Event::<u64>::Closing);
         for conn in self.conns.lock().iter() {
             conn.tx.push(&closing);
         }
@@ -792,14 +787,11 @@ where
                     .map(|(_, item)| item.clone())
                     .collect();
                 if let Some(first_seq) = st.events.iter().find(|(s, _)| *s > seq).map(|(s, _)| *s) {
-                    let mut payload = Vec::new();
-                    EVENT_REQ_ID.encode(&mut payload);
-                    Event::SeqStream { first_seq, items }.encode(&mut payload);
+                    let payload =
+                        encode_frame(EVENT_REQ_ID, &Event::SeqStream { first_seq, items });
                     write_to_session(&mut st, &payload);
                 }
-                let mut payload = Vec::new();
-                req_id.encode(&mut payload);
-                Resp::<I, M>::Unit.encode(&mut payload);
+                let payload = encode_frame(req_id, &Resp::<I, M>::Unit);
                 write_to_session(&mut st, &payload);
             }
             Req::Subscribe => {
@@ -833,61 +825,12 @@ where
                 shared.inner.finish(bid);
                 shared.session_respond(&sess, req_id, &Resp::Unit);
             }
-            Req::Send {
-                from,
-                to,
-                msg,
-                timeout_ms,
-            } => {
+            req @ (Req::Send { .. } | Req::Select { .. }) => {
                 sess.state.lock().in_flight.insert(req_id);
-                let shared = Arc::clone(&self.shared);
-                let done_shared = Arc::clone(&self.shared);
-                let done_sess = Arc::clone(&sess);
-                let done: script_chan::SendDone<I> = Box::new(move |result| {
-                    let resp = match result {
-                        Ok(()) => Resp::Unit,
-                        Err(e) => Resp::ChanErr(e),
-                    };
-                    done_shared.session_respond(&done_sess, req_id, &resp);
+                let done_shared = Arc::clone(shared);
+                shared.submit_blocking(req, move |resp| {
+                    done_shared.session_respond(&sess, req_id, &resp);
                 });
-                if let Err((msg, done)) = Arc::clone(&shared.inner).submit_send(
-                    &from,
-                    &to,
-                    msg,
-                    deadline_of(timeout_ms),
-                    done,
-                ) {
-                    shared.spawn_worker(move |sh| {
-                        done(sh.inner.send(&from, &to, msg, deadline_of(timeout_ms)));
-                    });
-                }
-            }
-            Req::Select {
-                me,
-                arms,
-                timeout_ms,
-            } => {
-                sess.state.lock().in_flight.insert(req_id);
-                let shared = Arc::clone(&self.shared);
-                let done_shared = Arc::clone(&self.shared);
-                let done_sess = Arc::clone(&sess);
-                let done: script_chan::SelectDone<I, M> = Box::new(move |result| {
-                    let resp = match result {
-                        Ok(outcome) => Resp::Selected(outcome),
-                        Err(e) => Resp::ChanErr(e),
-                    };
-                    done_shared.session_respond(&done_sess, req_id, &resp);
-                });
-                if let Err((arms, done)) = Arc::clone(&shared.inner).submit_select(
-                    &me,
-                    arms,
-                    deadline_of(timeout_ms),
-                    done,
-                ) {
-                    shared.spawn_worker(move |sh| {
-                        done(sh.inner.select(&me, arms, deadline_of(timeout_ms)));
-                    });
-                }
             }
             other => {
                 let resp = shared.apply_simple(other);
@@ -951,55 +894,11 @@ where
                 self.shared.inner.finish(bid);
                 self.shared.respond(&tx, req_id, &Resp::<I, M>::Unit);
             }
-            Req::Send {
-                from,
-                to,
-                msg,
-                timeout_ms,
-            } => {
+            req @ (Req::Send { .. } | Req::Select { .. }) => {
                 let done_shared = Arc::clone(&self.shared);
-                let done: script_chan::SendDone<I> = Box::new(move |result| {
-                    let resp = match result {
-                        Ok(()) => Resp::<I, M>::Unit,
-                        Err(e) => Resp::ChanErr(e),
-                    };
+                self.shared.submit_blocking(req, move |resp| {
                     done_shared.respond(&tx, req_id, &resp);
                 });
-                if let Err((msg, done)) = Arc::clone(&self.shared.inner).submit_send(
-                    &from,
-                    &to,
-                    msg,
-                    deadline_of(timeout_ms),
-                    done,
-                ) {
-                    self.shared.spawn_worker(move |sh| {
-                        done(sh.inner.send(&from, &to, msg, deadline_of(timeout_ms)));
-                    });
-                }
-            }
-            Req::Select {
-                me,
-                arms,
-                timeout_ms,
-            } => {
-                let done_shared = Arc::clone(&self.shared);
-                let done: script_chan::SelectDone<I, M> = Box::new(move |result| {
-                    let resp = match result {
-                        Ok(outcome) => Resp::Selected(outcome),
-                        Err(e) => Resp::ChanErr(e),
-                    };
-                    done_shared.respond(&tx, req_id, &resp);
-                });
-                if let Err((arms, done)) = Arc::clone(&self.shared.inner).submit_select(
-                    &me,
-                    arms,
-                    deadline_of(timeout_ms),
-                    done,
-                ) {
-                    self.shared.spawn_worker(move |sh| {
-                        done(sh.inner.select(&me, arms, deadline_of(timeout_ms)));
-                    });
-                }
             }
             other => {
                 let resp = self.shared.apply_simple(other);
@@ -1136,23 +1035,51 @@ where
         }
     }
 
-    /// Fallback for inner transports without submission support: one
-    /// counted worker thread per blocking operation.
-    fn spawn_worker(self: &Arc<Self>, job: impl FnOnce(&Arc<Self>) + Send + 'static) {
-        let shared = Arc::clone(self);
-        shared.workers.fetch_add(1, Ordering::SeqCst);
-        thread::spawn(move || {
-            job(&shared);
-            shared.workers.fetch_sub(1, Ordering::SeqCst);
-        });
+    /// Submits a blocking request (`Send` or `Select`) to the inner
+    /// transport; `reply` gets its response when the operation
+    /// completes, on whatever thread completes it.
+    fn submit_blocking(&self, req: Req<I, M>, reply: impl FnOnce(Resp<I, M>) + Send + 'static) {
+        match req {
+            Req::Send {
+                from,
+                to,
+                msg,
+                timeout_ms,
+            } => Arc::clone(&self.inner).submit_send(
+                &from,
+                &to,
+                msg,
+                deadline_of(timeout_ms),
+                Box::new(move |result| {
+                    reply(match result {
+                        Ok(()) => Resp::Unit,
+                        Err(e) => Resp::ChanErr(e),
+                    })
+                }),
+            ),
+            Req::Select {
+                me,
+                arms,
+                timeout_ms,
+            } => Arc::clone(&self.inner).submit_select(
+                &me,
+                arms,
+                deadline_of(timeout_ms),
+                Box::new(move |result| {
+                    reply(match result {
+                        Ok(outcome) => Resp::Selected(outcome),
+                        Err(e) => Resp::ChanErr(e),
+                    })
+                }),
+            ),
+            _ => unreachable!("only blocking requests are submitted"),
+        }
     }
 
     /// Queues one `(req_id, resp)` frame on a connection's output
     /// buffer; the reactor flushes it on its next wakeup.
     fn respond(&self, tx: &ConnTx, req_id: u64, resp: &Resp<I, M>) {
-        let mut payload = Vec::new();
-        req_id.encode(&mut payload);
-        resp.encode(&mut payload);
+        let payload = encode_frame(req_id, resp);
         tx.push(&payload);
     }
 
@@ -1160,9 +1087,7 @@ where
     /// the currently attached connection, if any. A severed session
     /// simply accumulates answers for the eventual replay.
     fn session_respond(&self, sess: &Session<I>, req_id: u64, resp: &Resp<I, M>) {
-        let mut payload = Vec::new();
-        req_id.encode(&mut payload);
-        resp.encode(&mut payload);
+        let payload = encode_frame(req_id, resp);
         let mut st = sess.state.lock();
         st.in_flight.remove(&req_id);
         st.done.insert(req_id, payload.clone());
@@ -1172,9 +1097,7 @@ where
     /// Writes a response without caching it (heartbeats: never
     /// replayed, pruned nowhere).
     fn session_write_uncached(&self, sess: &Session<I>, req_id: u64, resp: &Resp<I, M>) {
-        let mut payload = Vec::new();
-        req_id.encode(&mut payload);
-        resp.encode(&mut payload);
+        let payload = encode_frame(req_id, resp);
         let mut st = sess.state.lock();
         write_to_session(&mut st, &payload);
     }
@@ -1197,39 +1120,18 @@ where
             .map(|c| Arc::clone(&c.tx))
             .collect();
         if !legacy.is_empty() {
-            let mut payload = Vec::new();
-            EVENT_REQ_ID.encode(&mut payload);
-            Event::Fault(rec.clone()).encode(&mut payload);
+            let payload = encode_frame(EVENT_REQ_ID, &Event::Fault(rec.clone()));
             for tx in legacy {
                 tx.push(&payload);
             }
         }
-        // Sequenced push per subscribed session, buffered for gapless
-        // resume replay. Sequencing and queueing happen under the state
-        // lock so concurrent faults cannot reorder on the wire.
         let sessions: Vec<Arc<Session<I>>> = self.sessions.lock().values().cloned().collect();
-        for sess in &sessions {
-            let mut st = sess.state.lock();
-            if !st.subscribed {
-                continue;
-            }
-            st.next_event_seq += 1;
-            let seq = st.next_event_seq;
-            let mut payload = Vec::new();
-            EVENT_REQ_ID.encode(&mut payload);
+        push_sequenced(&sessions, StreamItem::Fault(rec.clone()), |seq| {
             Event::SeqFault {
                 seq,
                 record: rec.clone(),
             }
-            .encode(&mut payload);
-            st.events.push_back((seq, StreamItem::Fault(rec.clone())));
-            if st.events.len() > EVENT_BUFFER_CAP {
-                st.events.pop_front();
-            }
-            if !st.event_resync {
-                write_to_session(&mut st, &payload);
-            }
-        }
+        });
         // Enact connection faults: tear down the connection of the
         // session animating the faulted edge (sender side first; a
         // hub-local sender severs the remote receiver instead). The
@@ -1272,29 +1174,12 @@ where
     /// therefore never call back into the inner transport.
     fn handle_rendezvous(&self, rec: &RendezvousRecord<I>) {
         let sessions: Vec<Arc<Session<I>>> = self.sessions.lock().values().cloned().collect();
-        for sess in &sessions {
-            let mut st = sess.state.lock();
-            if !st.subscribed {
-                continue;
-            }
-            st.next_event_seq += 1;
-            let seq = st.next_event_seq;
-            let mut payload = Vec::new();
-            EVENT_REQ_ID.encode(&mut payload);
+        push_sequenced(&sessions, StreamItem::Rendezvous(rec.clone()), |seq| {
             Event::SeqRendezvous {
                 seq,
                 record: rec.clone(),
             }
-            .encode(&mut payload);
-            st.events
-                .push_back((seq, StreamItem::Rendezvous(rec.clone())));
-            if st.events.len() > EVENT_BUFFER_CAP {
-                st.events.pop_front();
-            }
-            if !st.event_resync {
-                write_to_session(&mut st, &payload);
-            }
-        }
+        });
     }
 
     /// Expires sessions whose lease lapsed while severed: their bound
@@ -1328,6 +1213,42 @@ where
             }
         }
     }
+}
+
+/// Sequenced push of `item` (on the wire: `event(seq)`) to every
+/// subscribed session, buffered for gapless resume replay. Sequencing
+/// and queueing happen under each session's state lock, so concurrent
+/// pushes cannot reorder on the wire.
+fn push_sequenced<I: Wire + Clone>(
+    sessions: &[Arc<Session<I>>],
+    item: StreamItem<I>,
+    event: impl Fn(u64) -> Event<I>,
+) {
+    for sess in sessions {
+        let mut st = sess.state.lock();
+        if !st.subscribed {
+            continue;
+        }
+        st.next_event_seq += 1;
+        let seq = st.next_event_seq;
+        let payload = encode_frame(EVENT_REQ_ID, &event(seq));
+        st.events.push_back((seq, item.clone()));
+        if st.events.len() > EVENT_BUFFER_CAP {
+            st.events.pop_front();
+        }
+        if !st.event_resync {
+            write_to_session(&mut st, &payload);
+        }
+    }
+}
+
+/// One `(req_id, body)` frame payload: an answer, or an event push
+/// under [`EVENT_REQ_ID`].
+fn encode_frame<B: Wire>(req_id: u64, body: &B) -> Vec<u8> {
+    let mut payload = Vec::new();
+    req_id.encode(&mut payload);
+    body.encode(&mut payload);
+    payload
 }
 
 /// Queues `payload` on the session's attached connection, if any.

@@ -701,7 +701,9 @@ fn fan_in(spokes: usize, per: u64) {
         audit = Some((
             server.worker_threads(),
             thread_count(),
-            threads_named("script-net-hub"),
+            // This hub's own reactor, named after its port: the hubs
+            // of concurrently running tests have other names.
+            threads_named(&format!("net-hub-{}", addr.port())),
         ));
         hold.wait();
     });
